@@ -59,16 +59,22 @@ def _match_arrays(pg: Graph):
 
 
 @lru_cache(maxsize=4096)
-def _anchored_orders(pg: Graph):
-    """One assignment order per start vertex, start vertices deduped by
-    transposition automorphisms (enough when anchoring a single host vertex)."""
-    deg = [pg.degree(v) for v in range(pg.n)]
+def anchor_vertices(pg: Graph) -> tuple:
+    """Pattern vertices that can be mapped onto one fixed host vertex, deduped
+    by transposition automorphisms (enough when anchoring a single host vertex)."""
     reps = []
-    orders = []
     for p in range(pg.n):
-        if any(_interchangeable(pg.adj, p, r) for r in reps):
-            continue
-        reps.append(p)
+        if not any(_interchangeable(pg.adj, p, r) for r in reps):
+            reps.append(p)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=4096)
+def _anchored_orders(pg: Graph):
+    """One assignment order per anchor vertex, the anchor first."""
+    deg = [pg.degree(v) for v in range(pg.n)]
+    orders = []
+    for p in anchor_vertices(pg):
         rest = sorted((v for v in range(pg.n) if v != p), key=lambda v: -deg[v])
         orders.append(np.array([p] + rest, dtype=np.int64))
     return tuple(orders)

@@ -3,27 +3,38 @@
 Generation is by canonical augmentation: representatives on n vertices are
 obtained by attaching a new vertex to each (n-1)-vertex representative with
 every neighborhood mask, keeping a child iff deleting its canonically-last
-vertex reproduces the parent.  Parents are independent, so levels split
-across workers with a deterministic merge (children sorted per parent,
-parents kept in order).  All three measures are edge-monotone, so the
-edge-maximal mode is exact for extremal values; ``equivalence_check`` keeps
-that honest.
+vertex reproduces the parent.
+
+Children that contain F are rejected by forbidden neighbourhoods (the new
+vertex's neighbourhood pruning of McKay's geng): once per parent P, every
+embedding of F - p into P, for each anchor vertex p of F, marks the image
+of N_F(p) as a forbidden set, and a mask is dropped iff it contains one of
+the inclusion-minimal forbidden sets.  This is exact only because every
+parent is F-free, so every copy of F in a child passes through the new
+vertex; the anchored matcher stays as the test oracle.
+
+Parents are independent, so levels split across workers with a
+deterministic merge (children sorted per parent, parents kept in order).
+All three measures are edge-monotone, so the edge-maximal mode is exact for
+extremal values; ``equivalence_check`` keeps that honest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from . import graphs, spectra
 from .graphs import Graph
-from .patterns import ForbiddenPattern, Matcher
+from .patterns import ForbiddenPattern, Matcher, anchor_vertices
 
 MEASURES = ("edges", "lambda", "q")
 ALL_GRAPHS = "all"
@@ -54,6 +65,17 @@ class ExtremalRecord:
     witnesses: list
     graphs_examined: int
     wallclock: float
+
+
+_RECORD_TYPES = {
+    "n": int,
+    "pattern": str,
+    "measure": str,
+    "value": float,
+    "witnesses": list,
+    "graphs_examined": int,
+    "wallclock": float,
+}
 
 
 class SearchError(ValueError):
@@ -111,16 +133,109 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return g
 
 
+@lru_cache(maxsize=64)
+def _embedding_plans(pg: Graph) -> tuple:
+    """How to embed F - p for each anchor vertex p of F.
+
+    A plan is ``(k, back)`` over an order of the vertices of F - p that
+    puts p's k neighbours first and then, within each part, the vertex with
+    the most edges to those already placed; ``back[d]`` lists the earlier
+    slots adjacent to slot d.
+    """
+    plans = []
+    for p in anchor_vertices(pg):
+        nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]
+        others = [u for u in range(pg.n) if u != p and not (pg.adj[p] >> u) & 1]
+        order = []
+        for group in (nbrs, others):
+            while group:
+                placed = sum(1 << u for u in order)
+                u = max(
+                    group,
+                    key=lambda u: ((pg.adj[u] & placed).bit_count(), pg.degree(u)),
+                )
+                group.remove(u)
+                order.append(u)
+        back = tuple(
+            tuple(j for j in range(d) if pg.has_edge(order[j], u))
+            for d, u in enumerate(order)
+        )
+        plans.append((pg.degree(p), back))
+    return tuple(plans)
+
+
+def _forbidden_sets(parent: Graph, pg: Graph) -> tuple:
+    """Inclusion-minimal masks S such that the child of ``parent`` with
+    neighbourhood mask M contains F iff some S satisfies ``S & ~M == 0``.
+
+    Each S is phi(N_F(p)) for an anchor vertex p of F and an embedding phi
+    of F - p into ``parent``.  The equivalence holds only because
+    ``parent`` is F-free, so every copy of F in a child uses the new vertex.
+    """
+    n = parent.n
+    if pg.n > n + 1:
+        return ()
+    adj = parent.adj
+    full = (1 << n) - 1
+    found = set()
+    for k, back in _embedding_plans(pg):
+        size = len(back)
+        img = [0] * size
+
+        def candidates(d, used):
+            cand = full & ~used
+            for j in back[d]:
+                cand &= adj[img[j]]
+            return cand
+
+        def completes(d, used):
+            if d == size:
+                return True
+            cand = candidates(d, used)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                img[d] = low.bit_length() - 1
+                if completes(d + 1, used | low):
+                    return True
+            return False
+
+        def neighbourhoods(d, used):
+            # slots below k hold N_F(p), so at d == k ``used`` is S
+            if d == k:
+                if used not in found and completes(k, used):
+                    found.add(used)
+                return
+            cand = candidates(d, used)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                img[d] = low.bit_length() - 1
+                neighbourhoods(d + 1, used | low)
+
+        neighbourhoods(0, 0)
+    minimal = []
+    for s in sorted(found, key=int.bit_count):
+        if all(t & ~s for t in minimal):
+            minimal.append(s)
+    return tuple(minimal)
+
+
 def _children(parent: Graph, parent_canon: str, matcher) -> tuple:
-    """Accepted canonical child strings (sorted) plus candidates examined."""
+    """Accepted canonical child strings (sorted) plus candidates examined.
+
+    With a pattern, masks containing a forbidden set are dropped before any
+    child is built; ``examined`` still counts every mask.
+    """
     n = parent.n
     accepted = set()
-    examined = 0
-    for mask in range(1 << n):
+    examined = 1 << n
+    masks = range(examined)
+    if matcher is not None:
+        forbidden = _forbidden_sets(parent, matcher.pattern.graph)
+        masks = [m for m in masks if all(s & ~m for s in forbidden)]
+    for mask in masks:
         child = _extend(parent, mask)
-        examined += 1
-        if matcher is not None and matcher.creates_at(child, n):
-            continue
         cstr, perm = graphs._canonical(child.n, child.adj)
         if cstr in accepted:
             continue
@@ -254,6 +369,37 @@ def _cache_path(f, n, measure, config: SearchConfig) -> Path:
     return Path(config.cache_dir) / label / measure / f"n={n}.json"
 
 
+def _read_cached(path: Path, chash: str) -> Optional[ExtremalRecord]:
+    """The record stored at ``path`` for ``chash``; None for a missing,
+    stale, unreadable or malformed file, which the caller recomputes."""
+    try:
+        blob = json.loads(path.read_text())
+        if blob["config_hash"] != chash:
+            return None
+        record = ExtremalRecord(**blob["record"])
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    well_typed = all(
+        isinstance(getattr(record, name), kind)
+        for name, kind in _RECORD_TYPES.items()
+    ) and all(isinstance(w, str) for w in record.witnesses)
+    return record if well_typed else None
+
+
+def _write_cached(path: Path, chash: str, record: ExtremalRecord) -> None:
+    """Write to a temporary file beside ``path`` and rename it into place,
+    so a concurrent reader sees the old record or the new one, never half."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps({"config_hash": chash, "record": asdict(record)}, indent=1)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def extremal(
     n: int,
     f: ForbiddenPattern,
@@ -269,10 +415,9 @@ def extremal(
     cache_file = None
     if config.cache_dir:
         cache_file = _cache_path(f, n, measure, config)
-        if cache_file.exists():
-            blob = json.loads(cache_file.read_text())
-            if blob.get("config_hash") == chash:
-                return ExtremalRecord(**blob["record"])
+        cached = _read_cached(cache_file, chash)
+        if cached is not None:
+            return cached
     start = time.perf_counter()
     reps = enumerate_free(n, f, config.mode, config)
     if not reps:
@@ -302,10 +447,7 @@ def extremal(
         wallclock=time.perf_counter() - start,
     )
     if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(
-            json.dumps({"config_hash": chash, "record": asdict(record)}, indent=1)
-        )
+        _write_cached(cache_file, chash, record)
     return record
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,63 @@ class TestEnumeration:
         search.clear_caches()
 
 
+def _graph6_pattern(g):
+    from qturan.patterns import parse_pattern
+
+    return parse_pattern(graphs.to_graph6(g))
+
+
+class TestForbiddenSets:
+    def test_verdict_matches_anchored_matcher(self):
+        # oracle gate: on every mask of every F-free parent, a mask contains
+        # a forbidden set iff the anchored matcher finds F in the child
+        from qturan.patterns import PATTERN_NAMES, contains_subgraph
+
+        k1, k2, k3 = graphs.empty(1), graphs.complete(2), graphs.complete(3)
+        cases = [(pattern_by_name(name), 5) for name in PATTERN_NAMES]
+        cases += [
+            (_graph6_pattern(graphs.disjoint_union([k3, k1])), 5),
+            (_graph6_pattern(graphs.disjoint_union([k2, k1, k1])), 5),
+            (_graph6_pattern(graphs.disjoint_union([k2, k2])), 5),
+        ]
+        cases += [(pattern_by_name(name), 6) for name in ("K3", "K4", "C4", "C5")]
+        checked = 0
+        for f, top in cases:
+            parents = enumerate_free(top, f) if top == 6 else [
+                p for n in range(1, top + 1) for p in enumerate_free(n, f)
+            ]
+            for parent in parents:
+                sets = search._forbidden_sets(parent, f.graph)
+                for mask in range(1 << parent.n):
+                    rejected = any(s & ~mask == 0 for s in sets)
+                    child = search._extend(parent, mask)
+                    oracle = contains_subgraph(child, f, anchor=parent.n)
+                    assert rejected == oracle, (f.label(), parent.adj, mask)
+                    checked += 1
+        assert checked == 30478  # every mask of every parent above
+
+    def test_k4_sets_are_the_parent_triangles(self):
+        f = pattern_by_name("K4")
+        for parent in enumerate_free(6, f):
+            triangles = {
+                (1 << a) | (1 << b) | (1 << c)
+                for a, b, c in itertools.combinations(range(parent.n), 3)
+                if parent.has_edge(a, b)
+                and parent.has_edge(a, c)
+                and parent.has_edge(b, c)
+            }
+            assert set(search._forbidden_sets(parent, f.graph)) == triangles
+
+    def test_sets_are_inclusion_minimal(self):
+        for name in ("C4", "K1_3", "K2_3"):
+            f = pattern_by_name(name)
+            for parent in enumerate_free(5, f):
+                sets = search._forbidden_sets(parent, f.graph)
+                assert len(set(sets)) == len(sets)
+                for s, t in itertools.permutations(sets, 2):
+                    assert s & ~t != 0
+
+
 def _triples(n):
     import itertools
 
@@ -163,6 +222,17 @@ class TestExtremal:
         brute = max(spectra.dense_lambda_value(g) for g in enumerate_free(6, f))
         assert rec.value == pytest.approx(brute, abs=1e-10)
 
+    def test_pinned_examined_counts_and_witnesses(self):
+        # the CLI's graphs_examined line and the cache records depend on
+        # these exact figures, so rejection changes must leave them alone
+        for name, examined, witnesses in (
+            ("K4", 8811, ["F]~v_"]),
+            ("C5", 6171, ["F}rE?"]),
+        ):
+            rec = extremal(7, pattern_by_name(name), "q")
+            assert rec.graphs_examined == examined
+            assert rec.witnesses == witnesses
+
     def test_unknown_measure(self):
         with pytest.raises(SearchError):
             extremal(4, pattern_by_name("K3"), "girth")
@@ -217,3 +287,71 @@ class TestDiskCache:
         extremal(4, f, "edges", SearchConfig(cache_dir=str(tmp_path)))
         dirs = [p.name for p in Path(tmp_path).iterdir()]
         assert len(dirs) == 1 and dirs[0].startswith("g6-")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"config_hash": "',  # truncated mid-write
+            "",
+            "[1, 2]",
+            '{"record": {}}',
+            None,  # the record of another hash made malformed, see below
+        ],
+    )
+    def test_corrupt_entry_is_a_miss(self, tmp_path, text):
+        f = pattern_by_name("K3")
+        cfg = SearchConfig(cache_dir=str(tmp_path))
+        rec1 = extremal(4, f, "edges", cfg)
+        path = tmp_path / "K3" / "edges" / "n=4.json"
+        if text is None:
+            blob = json.loads(path.read_text())
+            blob["record"]["witnesses"] = "not a list"
+            text = json.dumps(blob)
+        path.write_text(text)
+        rec2 = extremal(4, f, "edges", cfg)
+        assert rec2.value == rec1.value
+        assert rec2.witnesses == rec1.witnesses
+        # the entry was rewritten and now serves hits
+        assert json.loads(path.read_text())["record"]["witnesses"] == rec1.witnesses
+
+    def test_corrupt_entry_cli_exits_ok(self, tmp_path, capsys):
+        from qturan import cli
+
+        argv = [
+            "extremal", "--pattern", "K3", "--n", "4",
+            "--measure", "edges", "--cache-dir", str(tmp_path),
+        ]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        path = tmp_path / "K3" / "edges" / "n=4.json"
+        path.write_text(path.read_text()[:20])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+        json.loads(path.read_text())
+
+    def test_write_is_atomic_and_leaves_no_temporary(self, tmp_path):
+        f = pattern_by_name("K3")
+        cfg = SearchConfig(cache_dir=str(tmp_path))
+        rec1 = extremal(5, f, "q", cfg)
+        folder = tmp_path / "K3" / "q"
+        assert [p.name for p in folder.iterdir()] == ["n=5.json"]
+        blob = json.loads((folder / "n=5.json").read_text())
+        assert blob["record"] == asdict(rec1)
+        rec2 = extremal(5, f, "q", cfg)
+        assert rec2 == rec1  # served from the record, wall clock included
+        assert [p.name for p in folder.iterdir()] == ["n=5.json"]
+
+    def test_failed_write_keeps_the_old_record(self, tmp_path, monkeypatch):
+        f = pattern_by_name("K3")
+        rec = extremal(4, f, "edges", SearchConfig(cache_dir=str(tmp_path)))
+        path = tmp_path / "K3" / "edges" / "n=4.json"
+        before = path.read_text()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(search.os, "replace", fail)
+        with pytest.raises(OSError):
+            search._write_cached(path, "0" * 64, rec)
+        assert path.read_text() == before
+        assert [p.name for p in path.parent.iterdir()] == ["n=4.json"]
