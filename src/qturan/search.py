@@ -2,8 +2,15 @@
 
 Generation is by canonical augmentation: representatives on n vertices are
 obtained by attaching a new vertex to each (n-1)-vertex representative with
-every neighborhood mask, keeping a child iff deleting its canonically-last
-vertex reproduces the parent.
+every neighborhood mask, keeping a child iff deleting its deletion vertex
+reproduces the parent.  The deletion vertex is the maximum-degree vertex
+with the largest canonical position (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26 (1998)), so a mask whose new vertex would not
+have maximum degree is dropped in O(1) before any labelling: with parent
+maximum degree dmax reached on the vertex set top, the new vertex of mask M
+has maximum degree iff |M| >= dmax + [M meets top].  When the deletion
+vertex is the new vertex itself, the child minus it is the parent, so the
+child is accepted after one labelling instead of two.
 
 Children that contain F are rejected by forbidden neighbourhoods (the new
 vertex's neighbourhood pruning of McKay's geng): once per parent P, every
@@ -11,12 +18,15 @@ embedding of F - p into P, for each anchor vertex p of F, marks the image
 of N_F(p) as a forbidden set, and a mask is dropped iff it contains one of
 the inclusion-minimal forbidden sets.  This is exact only because every
 parent is F-free, so every copy of F in a child passes through the new
-vertex; the anchored matcher stays as the test oracle.
+vertex; the anchored matcher stays as the test oracle.  This filter runs
+before the degree filter.
 
-Parents are independent, so levels split across workers with a
-deterministic merge (children sorted per parent, parents kept in order).
-All three measures are edge-monotone, so the edge-maximal mode is exact for
-extremal values; ``equivalence_check`` keeps that honest.
+Parents are independent, so levels split across workers; each level is
+sorted by canonical graph6, so its order depends neither on the deletion
+rule nor on the worker count.  The budget is checked after every parent,
+and a level cut short by it is never cached.  All three measures are
+edge-monotone, so the edge-maximal mode is exact for extremal values;
+``equivalence_check`` keeps that honest.
 """
 
 from __future__ import annotations
@@ -44,6 +54,10 @@ HARD_CAP_ALL = 12
 HARD_CAP_MAXIMAL = 14
 
 VALUE_TOL = 1e-9
+
+# hashed into every cache key; bump it when a record's format or the
+# meaning of one of its fields changes, so older records become misses
+CACHE_SCHEMA = 1
 
 
 @dataclass
@@ -83,11 +97,13 @@ class SearchError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration budget exhausted; ``progress`` maps level -> class count."""
+    """Enumeration budget exhausted; ``progress`` maps each complete level
+    to its class count and ``examined`` counts the candidates examined."""
 
-    def __init__(self, message: str, progress: dict):
+    def __init__(self, message: str, progress: dict, examined: int):
         super().__init__(message)
         self.progress = progress
+        self.examined = examined
 
 
 # level cache: (pattern_key, n) -> (tuple of canonical Graphs, examined at level)
@@ -224,8 +240,11 @@ def _forbidden_sets(parent: Graph, pg: Graph) -> tuple:
 def _children(parent: Graph, parent_canon: str, matcher) -> tuple:
     """Accepted canonical child strings (sorted) plus candidates examined.
 
-    With a pattern, masks containing a forbidden set are dropped before any
-    child is built; ``examined`` still counts every mask.
+    A child is kept iff deleting its maximum-degree vertex with the largest
+    canonical position gives back the parent.  Masks that contain a
+    forbidden set, then masks whose new vertex would not have maximum
+    degree, are dropped before any child is built; ``examined`` still
+    counts every mask.
     """
     n = parent.n
     accepted = set()
@@ -234,19 +253,35 @@ def _children(parent: Graph, parent_canon: str, matcher) -> tuple:
     if matcher is not None:
         forbidden = _forbidden_sets(parent, matcher.pattern.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
+    degrees = [row.bit_count() for row in parent.adj]
+    dmax = max(degrees)
+    top = sum(1 << v for v, d in enumerate(degrees) if d == dmax)
+    # the new vertex has degree |M|; the parent's maximum rises iff M meets top
+    masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
     for mask in masks:
         child = _extend(parent, mask)
         cstr, perm = graphs._canonical(child.n, child.adj)
         if cstr in accepted:
             continue
-        w = perm[child.n - 1]
-        if graphs.canonical_form(child.delete_vertex(w)) == parent_canon:
+        # _canonical orders vertices by non-increasing degree, so the last
+        # of the k maximum-degree vertices sits at position k - 1
+        d = mask.bit_count()
+        w = perm[sum(row.bit_count() == d for row in child.adj) - 1]
+        # child - n is the parent itself, so no second labelling is needed
+        if w == n or graphs.canonical_form(child.delete_vertex(w)) == parent_canon:
             accepted.add(cstr)
     return sorted(accepted), examined
 
 
-def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig):
-    """Representatives of F-free classes on n vertices, with examined count."""
+def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowance: int):
+    """Representatives of F-free classes on n vertices, sorted by canonical
+    graph6, with the candidates examined; level n - 1 must be cached.
+
+    Once the candidates examined exceed ``allowance``, no further parent is
+    started: the level comes back as ``(None, examined so far)`` and is not
+    cached.  Each worker finishes only the parent it holds, so the overrun
+    is at most ``workers * 2**(n - 1)``.
+    """
     key = (_pattern_key(f), n)
     with _LEVELS_LOCK:
         hit = _LEVELS.get(key)
@@ -258,23 +293,34 @@ def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig):
         reps = () if (matcher is not None and matcher.contains(g)) else (g,)
         result = (reps, 1)
     else:
-        parents, _ = _level(f, n - 1, config)
-        parent_canons = [graphs.to_graph6(p) for p in parents]
+        with _LEVELS_LOCK:
+            parents = _LEVELS[(key[0], n - 1)][0]
+        examined = 0
+        lock = threading.Lock()
+        exhausted = threading.Event()
 
-        def work(idx):
-            return _children(parents[idx], parent_canons[idx], matcher)
+        def work(parent):
+            nonlocal examined
+            if exhausted.is_set():
+                return None
+            strs, cnt = _children(parent, graphs.to_graph6(parent), matcher)
+            with lock:
+                examined += cnt
+                if examined > allowance:
+                    exhausted.set()
+            return strs
 
         if config.workers > 1 and len(parents) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(work, range(len(parents))))
+                results = list(pool.map(work, parents))
         else:
-            results = [work(i) for i in range(len(parents))]
-        reps = []
-        examined = 0
-        for strs, cnt in results:
-            examined += cnt
-            reps.extend(graphs.from_graph6(s) for s in strs)
-        result = (tuple(reps), examined)
+            results = [work(p) for p in parents]
+        if None in results:
+            return None, examined
+        # each class has exactly one parent, so sorting makes the order
+        # independent of the deletion rule and of the worker count
+        strs = sorted(s for part in results for s in part)
+        result = (tuple(graphs.from_graph6(s) for s in strs), examined)
     with _LEVELS_LOCK:
         _LEVELS[key] = result
     return result
@@ -324,12 +370,15 @@ def enumerate_free(
     budget_used = 0
     progress = {}
     for k in range(1, n + 1):
-        reps, examined = _level(f, k, config)
+        reps, examined = _level(f, k, config, config.budget - budget_used)
         budget_used += examined
-        progress[k] = len(reps)
+        if reps is not None:
+            progress[k] = len(reps)
         if budget_used > config.budget:
             raise BudgetExceededError(
-                f"examined {budget_used} graphs, budget {config.budget}", progress
+                f"examined {budget_used} graphs, budget {config.budget}",
+                progress,
+                budget_used,
             )
     reps = list(_LEVELS[(_pattern_key(f), n)][0])
     if mode == MAXIMAL_ONLY:
@@ -356,8 +405,7 @@ def _config_hash(f, n, measure, config: SearchConfig) -> str:
             "measure": measure,
             "mode": config.mode,
             "tol": config.tol,
-            "budget": config.budget,
-            "max_n": config.max_n,
+            "schema": CACHE_SCHEMA,
         },
         sort_keys=True,
     )

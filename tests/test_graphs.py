@@ -172,6 +172,14 @@ class TestCanonical:
             assert graphs.to_graph6(cg) == graphs.canonical_form(g)
             assert graphs.canonical_form(cg) == graphs.canonical_form(g)
 
+    def test_permutation_lists_degrees_in_nonincreasing_order(self):
+        # search._children finds its deletion vertex, the last maximum-degree
+        # vertex in canonical order, at position k - 1 by relying on this
+        for g in random_graphs(200, seed=11, n_max=12):
+            perm = graphs.canonical_permutation(g)
+            degrees = [g.degree(v) for v in perm]
+            assert degrees == sorted(degrees, reverse=True)
+
     def test_agrees_with_naive_classes(self, four_vertex_classes):
         # each oracle class maps to a distinct canonical string
         forms = {graphs.canonical_form(g) for g in four_vertex_classes}

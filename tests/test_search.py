@@ -23,13 +23,13 @@ from tests.conftest import all_labeled_graphs, classes_naive, isomorphic_naive
 class TestEnumeration:
     def test_unrestricted_counts(self):
         # number of graphs on n unlabeled vertices
-        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
         for n, count in expected.items():
             assert len(enumerate_free(n)) == count
 
     def test_triangle_free_counts(self):
         f = pattern_by_name("K3")
-        expected = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410}
+        expected = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
         for n, count in expected.items():
             assert len(enumerate_free(n, f)) == count
 
@@ -76,6 +76,18 @@ class TestEnumeration:
         ]
         assert one == many
 
+    def test_levels_are_in_graph6_order(self):
+        # the order must not depend on the deletion rule or on the workers
+        for f, n in ((None, 6), (pattern_by_name("K4"), 7)):
+            for workers in (1, 2, 4):
+                search.clear_caches()
+                forms = [
+                    graphs.to_graph6(g)
+                    for g in enumerate_free(n, f, config=SearchConfig(workers=workers))
+                ]
+                assert forms == sorted(forms)
+        search.clear_caches()
+
     def test_cap_errors(self):
         with pytest.raises(SearchError):
             enumerate_free(13)
@@ -90,6 +102,59 @@ class TestEnumeration:
             enumerate_free(7, config=SearchConfig(budget=100))
         assert exc.value.progress  # partial per-level progress is reported
         search.clear_caches()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_bounds_work(self, workers):
+        # the budget is checked per parent, so the level being built stops
+        # after at most one more parent per worker and is never cached
+        search.clear_caches()
+        budget = 2000
+        with pytest.raises(BudgetExceededError) as exc:
+            enumerate_free(8, config=SearchConfig(budget=budget, workers=workers))
+        assert exc.value.progress == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+        level = max(exc.value.progress) + 1
+        assert budget < exc.value.examined <= budget + 2 ** (level - 1) * workers
+        assert ("none", level) not in search._LEVELS
+        assert len(enumerate_free(7)) == 1044
+        search.clear_caches()
+
+
+def _last_vertex_levels(f, top):
+    """Class strings per level by the earlier rule, as the oracle: keep a
+    child iff deleting its canonically-last vertex gives back the parent,
+    with no degree pre-filter and F found by the anchored matcher."""
+    from qturan.patterns import contains_subgraph
+
+    level = [] if f and contains_subgraph(graphs.empty(1), f) else ["@"]
+    levels = {1: level}
+    for n in range(1, top):
+        found = set()
+        for pstr in level:
+            parent = graphs.from_graph6(pstr)
+            for mask in range(1 << n):
+                child = search._extend(parent, mask)
+                if f and contains_subgraph(child, f, anchor=n):
+                    continue
+                cstr, perm = graphs._canonical(child.n, child.adj)
+                if graphs.canonical_form(child.delete_vertex(perm[n])) == pstr:
+                    found.add(cstr)
+        level = levels[n + 1] = sorted(found)
+    return levels
+
+
+class TestDeletionRule:
+    def test_levels_match_last_vertex_rule(self):
+        from qturan.patterns import PATTERN_NAMES
+
+        cases = [(None, 7)] + [
+            (pattern_by_name(name), 7 if name in ("K3", "K4", "C4", "C5") else 6)
+            for name in PATTERN_NAMES
+        ]
+        for f, top in cases:
+            for n, expected in _last_vertex_levels(f, top).items():
+                forms = [graphs.to_graph6(g) for g in enumerate_free(n, f)]
+                assert len(set(forms)) == len(forms), (f, n)
+                assert sorted(forms) == expected, (f, n)
 
 
 def _graph6_pattern(g):
@@ -279,6 +344,16 @@ class TestDiskCache:
             4, f, "edges", SearchConfig(cache_dir=str(tmp_path), workers=3)
         )
         assert rec1.value == rec2.value
+
+    def test_budget_and_max_n_excluded_from_hash(self, tmp_path):
+        f = pattern_by_name("K3")
+        extremal(4, f, "edges", SearchConfig(cache_dir=str(tmp_path)))
+        path = tmp_path / "K3" / "edges" / "n=4.json"
+        blob = json.loads(path.read_text())
+        blob["record"]["wallclock"] = -1.0  # marks a record served from disk
+        path.write_text(json.dumps(blob))
+        cfg = SearchConfig(cache_dir=str(tmp_path), budget=10**5, max_n=9)
+        assert extremal(4, f, "edges", cfg).wallclock == -1.0
 
     def test_graph6_fallback_dir_for_unnamed_pattern(self, tmp_path):
         from qturan.patterns import ForbiddenPattern
