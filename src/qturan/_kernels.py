@@ -1,19 +1,17 @@
 """Hot inner loops: bitmask subgraph matching and power iteration.
 
-Each kernel is written once in numba-compatible form.  The ``*_py`` name is
-the plain-Python reference, the ``*_jit`` name the compiled version; the
-unsuffixed name is whichever of the two is active (see ``qturan._accel``).
-All bitmasks are ``uint64``, so hosts are limited to 64 vertices.
+Each kernel has one plain implementation.  The matcher works on the
+``Graph.adj`` rows as Python ints; power iteration works on numpy arrays but
+sums the Rayleigh quotient and the residual in Python loops, whose order
+fixes the last bits of every reported value (and so the CLI's output).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, jit_kernel
 
-
-def _subgraph_search_impl(host_adj, host_deg, pat_adj, pat_deg, order, first_mask):
+def subgraph_search(host_adj, pat_adj, order, first_mask):
     """Backtracking injective-homomorphism search over bitmask rows.
 
     ``order`` fixes the assignment order of pattern vertices; candidates for
@@ -22,51 +20,43 @@ def _subgraph_search_impl(host_adj, host_deg, pat_adj, pat_deg, order, first_mas
     candidates of ``order[0]`` (used to anchor the new vertex during
     augmentation; pass an all-ones mask for an unrestricted search).
     """
-    n_h = host_adj.shape[0]
-    k = order.shape[0]
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    if k > n_h:
+    k = len(order)
+    if k > len(host_adj):
         return False
-    allowed = np.zeros(k, np.uint64)
-    for d in range(k):
-        pv = order[d]
-        m = zero
-        for v in range(n_h):
-            if host_deg[v] >= pat_deg[pv]:
-                m |= one << np.uint64(v)
-        allowed[d] = m
-    assign = np.zeros(k, np.int64)
-    cands = np.zeros(k, np.uint64)
+    host_deg = [row.bit_count() for row in host_adj]
+    allowed = []
+    back = []
+    for d, pv in enumerate(order):
+        need = pat_adj[pv].bit_count()
+        allowed.append(sum(1 << v for v, deg in enumerate(host_deg) if deg >= need))
+        back.append([j for j in range(d) if (pat_adj[pv] >> order[j]) & 1])
+    assign = [0] * k
+    cands = [0] * k
     cands[0] = allowed[0] & first_mask
-    used = zero
+    used = 0
     d = 0
     while d >= 0:
-        if cands[d] == zero:
+        m = cands[d]
+        if not m:
             d -= 1
             if d >= 0:
-                used &= ~(one << np.uint64(assign[d]))
+                used &= ~(1 << assign[d])
             continue
-        m = cands[d]
-        v = 0
-        while (m >> np.uint64(v)) & one == zero:
-            v += 1
-        cands[d] = m & ~(one << np.uint64(v))
+        low = m & -m
+        cands[d] = m ^ low
         if d == k - 1:
             return True
-        assign[d] = v
-        used |= one << np.uint64(v)
-        nm = allowed[d + 1] & ~used
-        prow = pat_adj[order[d + 1]]
-        for j in range(d + 1):
-            if (prow >> np.uint64(order[j])) & one != zero:
-                nm &= host_adj[assign[j]]
+        assign[d] = low.bit_length() - 1
+        used |= low
         d += 1
+        nm = allowed[d] & ~used
+        for j in back[d]:
+            nm &= host_adj[assign[j]]
         cands[d] = nm
     return False
 
 
-def _power_iteration_impl(mat, x0, tol, max_iter):
+def power_iteration(mat, x0, tol, max_iter):
     """Dominant eigenpair of a symmetric PSD matrix by power iteration.
 
     Returns (value, vector, residual, iterations, converged).  Residual is
@@ -94,12 +84,3 @@ def _power_iteration_impl(mat, x0, tol, max_iter):
             return 0.0, x, 0.0, it + 1, True
         x = y / ny
     return theta, x, resid, max_iter, False
-
-
-subgraph_search_py = _subgraph_search_impl
-subgraph_search_jit = jit_kernel(_subgraph_search_impl)
-subgraph_search = subgraph_search_jit if NUMBA_ENABLED else subgraph_search_py
-
-power_iteration_py = _power_iteration_impl
-power_iteration_jit = jit_kernel(_power_iteration_impl)
-power_iteration = power_iteration_jit if NUMBA_ENABLED else power_iteration_py

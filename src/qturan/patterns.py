@@ -9,11 +9,9 @@ degree order with bitmask candidate pruning.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from . import graphs
 from ._kernels import subgraph_search
@@ -48,14 +46,9 @@ def _pattern_graph(f) -> Graph:
 
 
 @lru_cache(maxsize=4096)
-def _match_arrays(pg: Graph):
-    deg = [pg.degree(v) for v in range(pg.n)]
-    order = sorted(range(pg.n), key=lambda v: -deg[v])
-    return (
-        np.array(pg.adj, dtype=np.uint64),
-        np.array(deg, dtype=np.int64),
-        np.array(order, dtype=np.int64),
-    )
+def _match_order(pg: Graph) -> tuple:
+    """Assignment order for an unanchored search: descending degree."""
+    return tuple(sorted(range(pg.n), key=lambda v: -pg.degree(v)))
 
 
 @lru_cache(maxsize=4096)
@@ -72,12 +65,10 @@ def anchor_vertices(pg: Graph) -> tuple:
 @lru_cache(maxsize=4096)
 def _anchored_orders(pg: Graph):
     """One assignment order per anchor vertex, the anchor first."""
-    deg = [pg.degree(v) for v in range(pg.n)]
-    orders = []
-    for p in anchor_vertices(pg):
-        rest = sorted((v for v in range(pg.n) if v != p), key=lambda v: -deg[v])
-        orders.append(np.array([p] + rest, dtype=np.int64))
-    return tuple(orders)
+    return tuple(
+        (p,) + tuple(v for v in _match_order(pg) if v != p)
+        for p in anchor_vertices(pg)
+    )
 
 
 def contains_subgraph(host: Graph, f, anchor: Optional[int] = None) -> bool:
@@ -92,19 +83,12 @@ def contains_subgraph(host: Graph, f, anchor: Optional[int] = None) -> bool:
         return False
     if pg.edge_count() > host.edge_count():
         return False
-    pat_adj, pat_deg, order = _match_arrays(pg)
-    host_adj = np.array(host.adj, dtype=np.uint64)
-    host_deg = np.array([row.bit_count() for row in host.adj], dtype=np.int64)
-    full = np.uint64((1 << host.n) - 1)
     if anchor is None:
-        return bool(
-            subgraph_search(host_adj, host_deg, pat_adj, pat_deg, order, full)
-        )
-    first = np.uint64(1 << anchor)
-    for ord_p in _anchored_orders(pg):
-        if subgraph_search(host_adj, host_deg, pat_adj, pat_deg, ord_p, first):
-            return True
-    return False
+        return subgraph_search(host.adj, pg.adj, _match_order(pg), (1 << host.n) - 1)
+    return any(
+        subgraph_search(host.adj, pg.adj, order, 1 << anchor)
+        for order in _anchored_orders(pg)
+    )
 
 
 def is_free(host: Graph, f) -> bool:
@@ -121,26 +105,6 @@ def contains_subgraph_naive(host: Graph, pattern_graph: Graph) -> bool:
         if all(host.has_edge(image[u], image[v]) for u, v in pedges):
             return True
     return False
-
-
-class Matcher:
-    """Per-pattern containment with a verdict memo for repeated hosts."""
-
-    def __init__(self, f: ForbiddenPattern):
-        self.pattern = f
-        self._memo: dict = {}
-
-    def contains(self, host: Graph) -> bool:
-        key = host.adj
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = contains_subgraph(host, self.pattern)
-            self._memo[key] = hit
-        return hit
-
-    def creates_at(self, host: Graph, anchor: int) -> bool:
-        """Anchored check; valid when host minus ``anchor`` is pattern-free."""
-        return contains_subgraph(host, self.pattern, anchor=anchor)
 
 
 # -- chromatic number ----------------------------------------------------

@@ -44,20 +44,20 @@ from typing import Optional
 
 from . import graphs, spectra
 from .graphs import Graph
-from .patterns import ForbiddenPattern, Matcher, anchor_vertices
+from .patterns import ForbiddenPattern, anchor_vertices, contains_subgraph
 
 MEASURES = ("edges", "lambda", "q")
 ALL_GRAPHS = "all"
 MAXIMAL_ONLY = "maximal"
 
-HARD_CAP_ALL = 12
-HARD_CAP_MAXIMAL = 14
+# maximal mode enumerates every class before it filters, so one cap serves both
+HARD_CAP = 12
 
 VALUE_TOL = 1e-9
 
 # hashed into every cache key; bump it when a record's format or the
 # meaning of one of its fields changes, so older records become misses
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 @dataclass
@@ -66,7 +66,6 @@ class SearchConfig:
     mode: str = ALL_GRAPHS
     workers: int = 1
     cache_dir: Optional[str] = None
-    tol: float = 1e-10
     budget: int = 10**8
 
 
@@ -109,29 +108,15 @@ class BudgetExceededError(RuntimeError):
 # level cache: (pattern_key, n) -> (tuple of canonical Graphs, examined at level)
 _LEVELS: dict = {}
 _LEVELS_LOCK = threading.Lock()
-_MATCHERS: dict = {}
 
 
 def clear_caches():
     with _LEVELS_LOCK:
         _LEVELS.clear()
-        _MATCHERS.clear()
 
 
 def _pattern_key(f: Optional[ForbiddenPattern]) -> str:
     return "none" if f is None else f.canonical()
-
-
-def _matcher_for(f: Optional[ForbiddenPattern]):
-    if f is None:
-        return None
-    key = f.canonical()
-    with _LEVELS_LOCK:
-        m = _MATCHERS.get(key)
-        if m is None:
-            m = Matcher(f)
-            _MATCHERS[key] = m
-    return m
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -237,7 +222,9 @@ def _forbidden_sets(parent: Graph, pg: Graph) -> tuple:
     return tuple(minimal)
 
 
-def _children(parent: Graph, parent_canon: str, matcher) -> tuple:
+def _children(
+    parent: Graph, parent_canon: str, f: Optional[ForbiddenPattern]
+) -> tuple:
     """Accepted canonical child strings (sorted) plus candidates examined.
 
     A child is kept iff deleting its maximum-degree vertex with the largest
@@ -250,8 +237,8 @@ def _children(parent: Graph, parent_canon: str, matcher) -> tuple:
     accepted = set()
     examined = 1 << n
     masks = range(examined)
-    if matcher is not None:
-        forbidden = _forbidden_sets(parent, matcher.pattern.graph)
+    if f is not None:
+        forbidden = _forbidden_sets(parent, f.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
     degrees = [row.bit_count() for row in parent.adj]
     dmax = max(degrees)
@@ -287,10 +274,9 @@ def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowanc
         hit = _LEVELS.get(key)
     if hit is not None:
         return hit
-    matcher = _matcher_for(f)
     if n == 1:
         g = graphs.empty(1)
-        reps = () if (matcher is not None and matcher.contains(g)) else (g,)
+        reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
         result = (reps, 1)
     else:
         with _LEVELS_LOCK:
@@ -303,7 +289,7 @@ def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowanc
             nonlocal examined
             if exhausted.is_set():
                 return None
-            strs, cnt = _children(parent, graphs.to_graph6(parent), matcher)
+            strs, cnt = _children(parent, graphs.to_graph6(parent), f)
             with lock:
                 examined += cnt
                 if examined > allowance:
@@ -333,22 +319,21 @@ def _total_examined(f, n) -> int:
     return total
 
 
-def _check_caps(n: int, mode: str, config: SearchConfig):
-    hard = HARD_CAP_ALL if mode == ALL_GRAPHS else HARD_CAP_MAXIMAL
-    cap = min(hard, config.max_n)
+def _check_cap(n: int, config: SearchConfig):
+    cap = min(HARD_CAP, config.max_n)
     if n > cap:
-        raise SearchError(f"n={n} exceeds the {mode} cap of {cap}")
+        raise SearchError(f"n={n} exceeds the cap of {cap}")
 
 
-def _is_edge_maximal(g: Graph, matcher) -> bool:
-    if matcher is None:
+def _is_edge_maximal(g: Graph, f: Optional[ForbiddenPattern]) -> bool:
+    if f is None:
         return g.edge_count() == g.n * (g.n - 1) // 2
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
                 # new copies of F must pass through the new edge, so the
                 # anchored check at u is exact here
-                if not matcher.creates_at(g.add_edge(u, v), u):
+                if not contains_subgraph(g.add_edge(u, v), f, anchor=u):
                     return False
     return True
 
@@ -366,7 +351,7 @@ def enumerate_free(
     config = config or SearchConfig()
     if mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
         raise SearchError(f"unknown mode {mode!r}")
-    _check_caps(n, mode, config)
+    _check_cap(n, config)
     budget_used = 0
     progress = {}
     for k in range(1, n + 1):
@@ -376,14 +361,13 @@ def enumerate_free(
             progress[k] = len(reps)
         if budget_used > config.budget:
             raise BudgetExceededError(
-                f"examined {budget_used} graphs, budget {config.budget}",
+                f"examined {budget_used} candidates, budget {config.budget}",
                 progress,
                 budget_used,
             )
     reps = list(_LEVELS[(_pattern_key(f), n)][0])
     if mode == MAXIMAL_ONLY:
-        matcher = _matcher_for(f)
-        reps = [g for g in reps if _is_edge_maximal(g, matcher)]
+        reps = [g for g in reps if _is_edge_maximal(g, f)]
     return reps
 
 
@@ -404,7 +388,6 @@ def _config_hash(f, n, measure, config: SearchConfig) -> str:
             "n": n,
             "measure": measure,
             "mode": config.mode,
-            "tol": config.tol,
             "schema": CACHE_SCHEMA,
         },
         sort_keys=True,

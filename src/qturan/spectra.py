@@ -6,6 +6,12 @@ the adjacency iteration is run on A + delta*I to avoid sign flips on
 bipartite spectra).  Dense symmetric eigensolve is the fallback and the
 cross-check oracle at small n.  Disconnected graphs are handled per
 component; ties between components break on the smallest canonical form.
+
+The iteration is ``_kernels.power_iteration``.  Its summation order fixes
+the last bits of the reported value and vector, and so of CLI output such
+as the checkers' slacks, the ``residual`` line of ``spectrum`` and the
+``mu_sq_times_n`` column of ``table``.  Extremal search itself evaluates
+with ``dense_*_value`` (LAPACK).
 """
 
 from __future__ import annotations

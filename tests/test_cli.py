@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -106,6 +107,8 @@ class TestExtremal:
         )
         assert code == 3
         assert "budget exhausted" in out
+        # the budget counts parent x mask candidates, not graphs built
+        assert "candidates" in out
         assert "progress" in out
         search.clear_caches()
 
@@ -125,6 +128,18 @@ class TestVerify:
         )
         assert code == 0
         assert "failed 0" in out
+
+    def test_bound_chain_bytes_pinned(self, capsys):
+        # the slacks sit at the last bits of power iteration's sums, so
+        # reordering them (e.g. x @ y for the Rayleigh quotient) shows here
+        # even where the K4 table's 12 digits do not move
+        code, out, _ = run(
+            capsys, "verify", "--check", "bound_chain", "--n-max", "6", "--no-cache"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "53f91a0de0b8e06faffe6712935f587893caebacc49a16f3ec398c9f4746bed4"
+        )
 
     def test_monotone_json(self, capsys):
         code, out, _ = run(
@@ -193,6 +208,17 @@ class TestTable:
         blob = json.loads(out)
         assert blob["targets"]["ratio_q_n"] == pytest.approx(4 / 3)
         assert blob["partial"] is False
+
+    def test_k4_table_bytes_pinned(self, capsys):
+        # any change to the arithmetic of power iteration or of the
+        # evaluation shows up in the last digits of this table
+        code, out, _ = run(
+            capsys, "table", "--pattern", "K4", "--n-max", "7", "--no-cache"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "793497207419da0e56d32c23d066feb8e9c3be0f8f7212a85a9abdee74abd231"
+        )
 
     def test_partial_budget_exit(self, capsys):
         import qturan.search as search

@@ -96,6 +96,18 @@ class TestEnumeration:
         with pytest.raises(SearchError):
             enumerate_free(4, mode="bogus")
 
+    def test_maximal_mode_has_the_same_cap(self):
+        # maximal mode enumerates every class before filtering, so it
+        # cannot reach further than full mode; the cap is checked before
+        # any level is built (a budget of 1 makes a missed cap fail at once)
+        search.clear_caches()
+        for max_n in (12, 14):
+            with pytest.raises(SearchError):
+                enumerate_free(
+                    13, mode=MAXIMAL_ONLY, config=SearchConfig(max_n=max_n, budget=1)
+                )
+        assert not search._LEVELS
+
     def test_budget_exceeded(self):
         search.clear_caches()
         with pytest.raises(BudgetExceededError) as exc:
