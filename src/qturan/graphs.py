@@ -8,7 +8,6 @@ All operations are pure: mutation returns a fresh Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,7 +115,7 @@ class Graph:
                 continue
             row = self.adj[i]
             rows.append((row & low) | ((row >> (u + 1)) << u))
-        return Graph(self.n - 1, tuple(rows))
+        return _unchecked(self.n - 1, tuple(rows))
 
     def relabel(self, perm) -> "Graph":
         """Return the graph with old vertex ``perm[i]`` at new position i."""
@@ -187,14 +186,19 @@ class Graph:
             a[v, u] = 1.0
         return a
 
-    def adjacency_rows(self) -> np.ndarray:
-        return np.array(self.adj, dtype=np.uint64)
-
     def __repr__(self):
         return f"Graph({self.n}, g6={to_graph6(self)!r})"
 
 
 # -- constructors --------------------------------------------------------
+
+
+def _unchecked(n: int, rows: tuple) -> Graph:
+    """Graph on ``rows`` that are valid by construction, skipping validation."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", rows)
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -449,16 +453,15 @@ def _encode(n, adj, perm):
     return tuple(rows)
 
 
-@lru_cache(maxsize=1 << 20)
 def _canonical(n, adj):
-    """Canonical labeling: (graph6 of the relabeled graph, permutation).
+    """Canonical labeling: (adjacency rows of the relabeled graph, permutation).
 
     Degree-partition refinement with backtracking over cell individualization
     (McKay-style); branches whose chosen vertex is swappable with an already
     tried one are skipped, which collapses cliques, cocliques and equal parts.
     """
     if n == 1:
-        return "@", (0,)
+        return (0,), (0,)
     by_deg = {}
     for v in range(n):
         by_deg.setdefault(adj[v].bit_count(), []).append(v)
@@ -490,13 +493,12 @@ def _canonical(n, adj):
             rec(cells[:target] + ((v,), rest) + cells[target + 1 :])
 
     rec(initial)
-    perm = best[1]
-    return to_graph6(Graph(n, best[0])), perm
+    return best[0], best[1]
 
 
 def canonical_form(g: Graph) -> str:
     """String equal for two graphs iff they are isomorphic."""
-    return _canonical(g.n, g.adj)[0]
+    return to_graph6(_unchecked(g.n, _canonical(g.n, g.adj)[0]))
 
 
 def canonical_permutation(g: Graph):

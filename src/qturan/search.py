@@ -12,6 +12,10 @@ has maximum degree iff |M| >= dmax + [M meets top].  When the deletion
 vertex is the new vertex itself, the child minus it is the parent, so the
 child is accepted after one labelling instead of two.
 
+Classes are keyed on canonical adjacency rows, and each representative is
+stored unvalidated on its rows, so a parent is its own canonical labelling
+and the parent test compares rows; graph6 only orders levels and output.
+
 Children that contain F are rejected by forbidden neighbourhoods (the new
 vertex's neighbourhood pruning of McKay's geng): once per parent P, every
 embedding of F - p into P, for each anchor vertex p of F, marks the image
@@ -128,10 +132,7 @@ def _extend(parent: Graph, mask: int) -> Graph:
             row |= 1 << n
         rows.append(row)
     rows.append(mask)
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n + 1)
-    object.__setattr__(g, "adj", tuple(rows))
-    return g
+    return graphs._unchecked(n + 1, tuple(rows))
 
 
 @lru_cache(maxsize=64)
@@ -222,13 +223,12 @@ def _forbidden_sets(parent: Graph, pg: Graph) -> tuple:
     return tuple(minimal)
 
 
-def _children(
-    parent: Graph, parent_canon: str, f: Optional[ForbiddenPattern]
-) -> tuple:
-    """Accepted canonical child strings (sorted) plus candidates examined.
+def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
+    """Canonical rows of the accepted children, plus candidates examined.
 
     A child is kept iff deleting its maximum-degree vertex with the largest
-    canonical position gives back the parent.  Masks that contain a
+    canonical position leaves canonical rows equal to ``parent.adj``, so
+    ``parent`` must be canonically labelled.  Masks that contain a
     forbidden set, then masks whose new vertex would not have maximum
     degree, are dropped before any child is built; ``examined`` still
     counts every mask.
@@ -247,22 +247,25 @@ def _children(
     masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
     for mask in masks:
         child = _extend(parent, mask)
-        cstr, perm = graphs._canonical(child.n, child.adj)
-        if cstr in accepted:
+        rows, perm = graphs._canonical(child.n, child.adj)
+        if rows in accepted:
             continue
         # _canonical orders vertices by non-increasing degree, so the last
         # of the k maximum-degree vertices sits at position k - 1
         d = mask.bit_count()
         w = perm[sum(row.bit_count() == d for row in child.adj) - 1]
         # child - n is the parent itself, so no second labelling is needed
-        if w == n or graphs.canonical_form(child.delete_vertex(w)) == parent_canon:
-            accepted.add(cstr)
-    return sorted(accepted), examined
+        if w == n or (
+            graphs._canonical(n, child.delete_vertex(w).adj)[0] == parent.adj
+        ):
+            accepted.add(rows)
+    return accepted, examined
 
 
 def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowance: int):
     """Representatives of F-free classes on n vertices, sorted by canonical
-    graph6, with the candidates examined; level n - 1 must be cached.
+    graph6 and stored on their canonical rows, with the candidates
+    examined; level n - 1 must be cached.
 
     Once the candidates examined exceed ``allowance``, no further parent is
     started: the level comes back as ``(None, examined so far)`` and is not
@@ -289,12 +292,12 @@ def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowanc
             nonlocal examined
             if exhausted.is_set():
                 return None
-            strs, cnt = _children(parent, graphs.to_graph6(parent), f)
+            accepted, cnt = _children(parent, f)
             with lock:
                 examined += cnt
                 if examined > allowance:
                     exhausted.set()
-            return strs
+            return accepted
 
         if config.workers > 1 and len(parents) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -305,8 +308,8 @@ def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowanc
             return None, examined
         # each class has exactly one parent, so sorting makes the order
         # independent of the deletion rule and of the worker count
-        strs = sorted(s for part in results for s in part)
-        result = (tuple(graphs.from_graph6(s) for s in strs), examined)
+        reps = [graphs._unchecked(n, rows) for part in results for rows in part]
+        result = (tuple(sorted(reps, key=graphs.to_graph6)), examined)
     with _LEVELS_LOCK:
         _LEVELS[key] = result
     return result
@@ -453,17 +456,7 @@ def extremal(
     reps = enumerate_free(n, f, config.mode, config)
     if not reps:
         raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
-
-    def eval_chunk(chunk):
-        return [_evaluate(g, measure) for g in chunk]
-
-    if config.workers > 1 and len(reps) > 64:
-        size = (len(reps) + config.workers - 1) // config.workers
-        chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            values = [v for part in pool.map(eval_chunk, chunks) for v in part]
-    else:
-        values = eval_chunk(reps)
+    values = [_evaluate(g, measure) for g in reps]
     best = max(values)
     witnesses = sorted(
         graphs.to_graph6(g) for g, v in zip(reps, values) if v >= best - VALUE_TOL

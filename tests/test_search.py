@@ -29,7 +29,9 @@ class TestEnumeration:
 
     def test_triangle_free_counts(self):
         f = pattern_by_name("K3")
-        expected = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
+        expected = {
+            1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897, 10: 12172
+        }
         for n, count in expected.items():
             assert len(enumerate_free(n, f)) == count
 
@@ -51,11 +53,16 @@ class TestEnumeration:
                 assert any(isomorphic_naive(g, r) for r in reps)
 
     def test_representatives_are_canonical_and_distinct(self):
-        reps = enumerate_free(6, pattern_by_name("C4"))
-        forms = [graphs.to_graph6(g) for g in reps]
-        assert len(set(forms)) == len(forms)
-        for g, s in zip(reps, forms):
-            assert graphs.canonical_form(g) == s
+        # levels are stored unvalidated on canonical rows, and serve as
+        # parents on the assumption that they are their own labelling
+        for f, n in ((pattern_by_name("C4"), 6), (None, 7), (pattern_by_name("K4"), 7)):
+            reps = enumerate_free(n, f)
+            forms = [graphs.to_graph6(g) for g in reps]
+            assert len(set(forms)) == len(forms)
+            for g, s in zip(reps, forms):
+                assert graphs.canonical_form(g) == s
+                graphs.Graph(g.n, g.adj)  # raises GraphError on invalid rows
+                assert graphs.canonical_graph(g).adj == g.adj
 
     def test_all_representatives_are_free(self):
         from qturan.patterns import is_free
@@ -147,9 +154,9 @@ def _last_vertex_levels(f, top):
                 child = search._extend(parent, mask)
                 if f and contains_subgraph(child, f, anchor=n):
                     continue
-                cstr, perm = graphs._canonical(child.n, child.adj)
-                if graphs.canonical_form(child.delete_vertex(perm[n])) == pstr:
-                    found.add(cstr)
+                last = graphs.canonical_permutation(child)[n]
+                if graphs.canonical_form(child.delete_vertex(last)) == pstr:
+                    found.add(graphs.canonical_form(child))
         level = levels[n + 1] = sorted(found)
     return levels
 
