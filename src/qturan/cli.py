@@ -53,7 +53,6 @@ def _search_config(args) -> search.SearchConfig:
         )
     return search.SearchConfig(
         mode=getattr(args, "mode", search.ALL_GRAPHS),
-        workers=getattr(args, "workers", 1),
         cache_dir=cache_dir,
         max_n=getattr(args, "max_n", 12),
         budget=getattr(args, "budget", 10**8),
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         if pattern:
             p.add_argument("--pattern", help="pattern name (K3, C5, ...)")
             p.add_argument("--pattern-g6", help="pattern as a graph6 string")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="has no effect")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--max-n", type=int, default=12, dest="max_n")

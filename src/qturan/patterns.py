@@ -174,9 +174,8 @@ def _k_colorable(g: Graph, k: int) -> bool:
     return rec(0)
 
 
-@lru_cache(maxsize=1 << 16)
-def _chromatic_cached(n, adj) -> int:
-    g = Graph(n, adj)
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number via DSATUR branch and bound."""
     if g.edge_count() == 0:
         return 1
     lb = _greedy_clique_bound(g)
@@ -185,11 +184,6 @@ def _chromatic_cached(n, adj) -> int:
         if _k_colorable(g, k):
             return k
     return ub
-
-
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number via DSATUR branch and bound."""
-    return _chromatic_cached(g.n, g.adj)
 
 
 # -- named pattern registry ----------------------------------------------

@@ -25,12 +25,12 @@ parent is F-free, so every copy of F in a child passes through the new
 vertex; the anchored matcher stays as the test oracle.  This filter runs
 before the degree filter.
 
-Parents are independent, so levels split across workers; each level is
-sorted by canonical graph6, so its order depends neither on the deletion
-rule nor on the worker count.  The budget is checked after every parent,
-and a level cut short by it is never cached.  All three measures are
-edge-monotone, so the edge-maximal mode is exact for extremal values;
-``equivalence_check`` keeps that honest.
+Each level is built on one thread, parent by parent, and sorted by
+canonical graph6, so its order does not depend on the deletion rule.  The
+budget is checked after every parent, so a level overruns it by at most
+one parent's 2^(n-1) masks, and a level cut short by it is never cached.
+All three measures are edge-monotone, so the edge-maximal mode is exact
+for extremal values; ``equivalence_check`` keeps that honest.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -68,7 +67,6 @@ CACHE_SCHEMA = 2
 class SearchConfig:
     max_n: int = 12
     mode: str = ALL_GRAPHS
-    workers: int = 1
     cache_dir: Optional[str] = None
     budget: int = 10**8
 
@@ -111,12 +109,10 @@ class BudgetExceededError(RuntimeError):
 
 # level cache: (pattern_key, n) -> (tuple of canonical Graphs, examined at level)
 _LEVELS: dict = {}
-_LEVELS_LOCK = threading.Lock()
 
 
 def clear_caches():
-    with _LEVELS_LOCK:
-        _LEVELS.clear()
+    _LEVELS.clear()
 
 
 def _pattern_key(f: Optional[ForbiddenPattern]) -> str:
@@ -262,19 +258,18 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
     return accepted, examined
 
 
-def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowance: int):
+def _level(f: Optional[ForbiddenPattern], n: int, allowance: int):
     """Representatives of F-free classes on n vertices, sorted by canonical
     graph6 and stored on their canonical rows, with the candidates
     examined; level n - 1 must be cached.
 
-    Once the candidates examined exceed ``allowance``, no further parent is
-    started: the level comes back as ``(None, examined so far)`` and is not
-    cached.  Each worker finishes only the parent it holds, so the overrun
-    is at most ``workers * 2**(n - 1)``.
+    Parents are extended one at a time.  Once the candidates examined
+    exceed ``allowance``, no further parent is started: the level comes
+    back as ``(None, examined so far)`` and is not cached, so the overrun
+    is at most one parent's ``2**(n - 1)`` masks.
     """
     key = (_pattern_key(f), n)
-    with _LEVELS_LOCK:
-        hit = _LEVELS.get(key)
+    hit = _LEVELS.get(key)
     if hit is not None:
         return hit
     if n == 1:
@@ -282,36 +277,19 @@ def _level(f: Optional[ForbiddenPattern], n: int, config: SearchConfig, allowanc
         reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
         result = (reps, 1)
     else:
-        with _LEVELS_LOCK:
-            parents = _LEVELS[(key[0], n - 1)][0]
+        rows = []
         examined = 0
-        lock = threading.Lock()
-        exhausted = threading.Event()
-
-        def work(parent):
-            nonlocal examined
-            if exhausted.is_set():
-                return None
+        for parent in _LEVELS[(key[0], n - 1)][0]:
             accepted, cnt = _children(parent, f)
-            with lock:
-                examined += cnt
-                if examined > allowance:
-                    exhausted.set()
-            return accepted
-
-        if config.workers > 1 and len(parents) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(work, parents))
-        else:
-            results = [work(p) for p in parents]
-        if None in results:
-            return None, examined
+            rows.extend(accepted)
+            examined += cnt
+            if examined > allowance:
+                return None, examined
         # each class has exactly one parent, so sorting makes the order
-        # independent of the deletion rule and of the worker count
-        reps = [graphs._unchecked(n, rows) for part in results for rows in part]
+        # independent of the deletion rule
+        reps = [graphs._unchecked(n, r) for r in rows]
         result = (tuple(sorted(reps, key=graphs.to_graph6)), examined)
-    with _LEVELS_LOCK:
-        _LEVELS[key] = result
+    _LEVELS[key] = result
     return result
 
 
@@ -358,7 +336,7 @@ def enumerate_free(
     budget_used = 0
     progress = {}
     for k in range(1, n + 1):
-        reps, examined = _level(f, k, config, config.budget - budget_used)
+        reps, examined = _level(f, k, config.budget - budget_used)
         budget_used += examined
         if reps is not None:
             progress[k] = len(reps)
@@ -425,6 +403,7 @@ def _write_cached(path: Path, chash: str, record: ExtremalRecord) -> None:
     so a concurrent reader sees the old record or the new one, never half."""
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps({"config_hash": chash, "record": asdict(record)}, indent=1)
+    # process and thread id keep concurrent writers off each other's file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text)

@@ -112,15 +112,22 @@ def spectral_radius(
             value, vec, resid, iters, method = _radius_of_matrix(
                 sub.adjacency_matrix(), kind, tol
             )
-            key = (-value, graphs.canonical_form(sub))
-            entry = (key, value, vec, comp, iters, method)
+            entry = (value, vec, comp, iters, method)
             if best is None:
-                best = entry
-            else:
-                dv = value - best[1]
-                if dv > 1e-9 or (abs(dv) <= 1e-9 and key < best[0]):
-                    best = entry
-        _, value, vec, comp, iters, method = best
+                best, best_sub, best_form = entry, sub, None
+                continue
+            # the key (-value, canonical form) reaches the form only on an
+            # exact tie, so only then are the two components labelled
+            form = None
+            if value == best[0]:
+                form = graphs.canonical_form(sub)
+                if best_form is None:
+                    best_form = graphs.canonical_form(best_sub)
+            key, best_key = (-value, form), (-best[0], best_form)
+            dv = value - best[0]
+            if dv > 1e-9 or (abs(dv) <= 1e-9 and key < best_key):
+                best, best_sub, best_form = entry, sub, form
+        value, vec, comp, iters, method = best
         full_vec = np.zeros(g.n)
         idx = 0
         for v in range(g.n):

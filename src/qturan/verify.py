@@ -9,7 +9,7 @@ are surfaced rather than silently counted as passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

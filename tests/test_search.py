@@ -72,27 +72,12 @@ class TestEnumeration:
             for g in enumerate_free(6, f):
                 assert is_free(g, f)
 
-    def test_worker_determinism(self):
-        search.clear_caches()
-        f = pattern_by_name("K4")
-        one = [graphs.to_graph6(g) for g in enumerate_free(7, f)]
-        search.clear_caches()
-        many = [
-            graphs.to_graph6(g)
-            for g in enumerate_free(7, f, config=SearchConfig(workers=4))
-        ]
-        assert one == many
-
     def test_levels_are_in_graph6_order(self):
-        # the order must not depend on the deletion rule or on the workers
+        # the order must not depend on the deletion rule
         for f, n in ((None, 6), (pattern_by_name("K4"), 7)):
-            for workers in (1, 2, 4):
-                search.clear_caches()
-                forms = [
-                    graphs.to_graph6(g)
-                    for g in enumerate_free(n, f, config=SearchConfig(workers=workers))
-                ]
-                assert forms == sorted(forms)
+            search.clear_caches()
+            forms = [graphs.to_graph6(g) for g in enumerate_free(n, f)]
+            assert forms == sorted(forms)
         search.clear_caches()
 
     def test_cap_errors(self):
@@ -122,17 +107,16 @@ class TestEnumeration:
         assert exc.value.progress  # partial per-level progress is reported
         search.clear_caches()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_budget_bounds_work(self, workers):
+    def test_budget_bounds_work(self):
         # the budget is checked per parent, so the level being built stops
-        # after at most one more parent per worker and is never cached
+        # after at most one more parent and is never cached
         search.clear_caches()
         budget = 2000
         with pytest.raises(BudgetExceededError) as exc:
-            enumerate_free(8, config=SearchConfig(budget=budget, workers=workers))
+            enumerate_free(8, config=SearchConfig(budget=budget))
         assert exc.value.progress == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
         level = max(exc.value.progress) + 1
-        assert budget < exc.value.examined <= budget + 2 ** (level - 1) * workers
+        assert budget < exc.value.examined <= budget + 2 ** (level - 1)
         assert ("none", level) not in search._LEVELS
         assert len(enumerate_free(7)) == 1044
         search.clear_caches()
@@ -355,14 +339,6 @@ class TestDiskCache:
         path.write_text(json.dumps(blob))
         rec2 = extremal(4, f, "edges", cfg)
         assert rec2.value == rec1.value  # poisoned entry was ignored
-
-    def test_workers_excluded_from_hash(self, tmp_path):
-        f = pattern_by_name("K3")
-        rec1 = extremal(4, f, "edges", SearchConfig(cache_dir=str(tmp_path)))
-        rec2 = extremal(
-            4, f, "edges", SearchConfig(cache_dir=str(tmp_path), workers=3)
-        )
-        assert rec1.value == rec2.value
 
     def test_budget_and_max_n_excluded_from_hash(self, tmp_path):
         f = pattern_by_name("K3")

@@ -178,7 +178,7 @@ class TestProperties:
                 spectra.dense_lambda_value(g), abs=1e-7
             )
 
-    def test_disconnected_component_tie_is_deterministic(self):
+    def test_disconnected_component_tie_is_deterministic(self, monkeypatch):
         g = graphs.disjoint_union([graphs.cycle(4), graphs.complete(3)])
         # q(C4) = q(K3) = 4; the winner must not depend on run order
         r1 = spectra.spectral_radius(g, "q")
@@ -187,3 +187,31 @@ class TestProperties:
         assert np.array_equal(r1.vector, r2.vector)
         # support is confined to one component
         assert (r1.vector[:4] == 0).all() or (r1.vector[4:] == 0).all()
+
+        calls = []
+        canonical = graphs._canonical
+
+        def counting(n, adj):
+            calls.append(n)
+            return canonical(n, adj)
+
+        monkeypatch.setattr(graphs, "_canonical", counting)
+        # q(K3) = 4 > q(K2) = 2: no tie, so no component is labelled
+        r = spectra.spectral_radius(
+            graphs.disjoint_union([graphs.complete(3), graphs.complete(2)]), "q"
+        )
+        assert r.value == pytest.approx(4.0, abs=1e-9)
+        assert not calls
+        # on the tie K3 wins (graph6 "Bw" < "C]" for C4) in either order
+        third = 1 / math.sqrt(3)
+        for parts, k3 in (
+            ([graphs.cycle(4), graphs.complete(3)], slice(4, 7)),
+            ([graphs.complete(3), graphs.cycle(4)], slice(0, 3)),
+        ):
+            calls.clear()
+            r = spectra.spectral_radius(graphs.disjoint_union(parts), "q")
+            assert sorted(calls) == [3, 4]
+            assert r.value == pytest.approx(4.0, abs=1e-9)
+            expected = np.zeros(7)
+            expected[k3] = third
+            assert r.vector == pytest.approx(expected, abs=1e-9)
