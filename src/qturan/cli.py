@@ -29,15 +29,6 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _parse_graph(spec: str) -> graphs.Graph:
-    try:
-        return patterns.parse_pattern(spec).graph
-    except patterns.UnknownPatternError:
-        raise
-    except graphs.GraphError as exc:  # pragma: no cover
-        raise patterns.UnknownPatternError(str(exc))
-
-
 def _resolve_pattern(args) -> patterns.ForbiddenPattern:
     if getattr(args, "pattern_g6", None):
         g = graphs.from_graph6(args.pattern_g6)
@@ -117,7 +108,7 @@ def emit_reports(reports, fmt: str) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _parse_graph(args.graph)
+    g = patterns.parse_pattern(args.graph).graph
     res = spectra.spectral_radius(g, args.kind, args.tol)
     print(f"value {_fmt(res.value)}")
     print("vector " + " ".join(_fmt(v) for v in res.vector))

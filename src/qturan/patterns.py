@@ -2,8 +2,12 @@
 
 Containment is plain subgraph containment (not induced): F fits in a host
 iff some injection of V(F) sends every edge of F to a host edge.  Patterns
-are tiny, so the matcher backtracks over pattern vertices in descending
-degree order with bitmask candidate pruning.
+are tiny, so one backtracker over bitmask rows answers every embedding
+question.  It follows a plan per anchor vertex p of F: p first, then its
+neighbours, then the rest, each part ordered by edges to the vertices
+already placed.  The same plans decide containment, anchored containment
+and the forbidden neighbourhoods of canonical augmentation; the naive
+matcher is the test oracle for all of them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from functools import lru_cache
 from typing import Optional
 
 from . import graphs
-from ._kernels import subgraph_search
 from .graphs import Graph, _interchangeable
 
 
@@ -22,7 +25,7 @@ from .graphs import Graph, _interchangeable
 class ForbiddenPattern:
     graph: Graph
     chi: int
-    degseq: tuple
+    canonical_g6: str
     name: Optional[str] = None
 
     @classmethod
@@ -30,12 +33,12 @@ class ForbiddenPattern:
         return cls(
             graph=g,
             chi=chromatic_number(g),
-            degseq=g.degree_sequence(),
+            canonical_g6=graphs.canonical_form(g),
             name=name,
         )
 
     def canonical(self) -> str:
-        return graphs.canonical_form(self.graph)
+        return self.canonical_g6
 
     def label(self) -> str:
         return self.name if self.name is not None else self.canonical()
@@ -43,12 +46,6 @@ class ForbiddenPattern:
 
 def _pattern_graph(f) -> Graph:
     return f.graph if isinstance(f, ForbiddenPattern) else f
-
-
-@lru_cache(maxsize=4096)
-def _match_order(pg: Graph) -> tuple:
-    """Assignment order for an unanchored search: descending degree."""
-    return tuple(sorted(range(pg.n), key=lambda v: -pg.degree(v)))
 
 
 @lru_cache(maxsize=4096)
@@ -63,12 +60,58 @@ def anchor_vertices(pg: Graph) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _anchored_orders(pg: Graph):
-    """One assignment order per anchor vertex, the anchor first."""
-    return tuple(
-        (p,) + tuple(v for v in _match_order(pg) if v != p)
-        for p in anchor_vertices(pg)
-    )
+def _plans(pg: Graph) -> tuple:
+    """One embedding plan ``(k, back)`` per anchor vertex p of F.
+
+    The order puts p in slot 0, p's k neighbours in slots 1..k and the rest
+    after them; within each part it takes the vertex with the most edges to
+    those already placed, ties broken by degree.  ``back[d]`` lists the
+    earlier slots adjacent to slot d.
+    """
+    plans = []
+    for p in anchor_vertices(pg):
+        nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]
+        others = [u for u in range(pg.n) if u != p and not (pg.adj[p] >> u) & 1]
+        order = [p]
+        for group in (nbrs, others):
+            while group:
+                placed = sum(1 << u for u in order)
+                u = max(
+                    group,
+                    key=lambda u: ((pg.adj[u] & placed).bit_count(), pg.degree(u)),
+                )
+                group.remove(u)
+                order.append(u)
+        back = tuple(
+            tuple(j for j in range(d) if pg.has_edge(order[j], u))
+            for d, u in enumerate(order)
+        )
+        plans.append((pg.degree(p), back))
+    return tuple(plans)
+
+
+def _fills(adj, back, img, d, stop, used):
+    """Yield the used-vertex mask once per way to fill slots d..stop-1.
+
+    Slots below d already hold their host vertices in ``img`` and their
+    bits in ``used``; slot d may take any unused host vertex adjacent to
+    the images of the slots in ``back[d]``.
+    """
+    if d == stop:
+        yield used
+        return
+    cand = ((1 << len(adj)) - 1) & ~used
+    for j in back[d]:
+        cand &= adj[img[j]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        img[d] = low.bit_length() - 1
+        yield from _fills(adj, back, img, d + 1, stop, used | low)
+
+
+def _completes(adj, back, img, d, used) -> bool:
+    return any(True for _ in _fills(adj, back, img, d, len(back), used))
 
 
 def contains_subgraph(host: Graph, f, anchor: Optional[int] = None) -> bool:
@@ -83,12 +126,45 @@ def contains_subgraph(host: Graph, f, anchor: Optional[int] = None) -> bool:
         return False
     if pg.edge_count() > host.edge_count():
         return False
+    img = [0] * pg.n
     if anchor is None:
-        return subgraph_search(host.adj, pg.adj, _match_order(pg), (1 << host.n) - 1)
+        # a maximum-degree anchor first: its slot constrains the most others
+        back = max(_plans(pg), key=lambda plan: plan[0])[1]
+        return _completes(host.adj, back, img, 0, 0)
+    img[0] = anchor
     return any(
-        subgraph_search(host.adj, pg.adj, order, 1 << anchor)
-        for order in _anchored_orders(pg)
+        _completes(host.adj, back, img, 1, 1 << anchor) for _, back in _plans(pg)
     )
+
+
+def forbidden_sets(parent: Graph, pg: Graph) -> tuple:
+    """Inclusion-minimal masks S such that the child of ``parent`` with
+    neighbourhood mask M contains F iff some S satisfies ``S & ~M == 0``.
+
+    Each S is phi(N_F(p)) for an anchor vertex p of F and an embedding phi
+    of F - p into ``parent``.  The equivalence holds only because
+    ``parent`` is F-free, so every copy of F in a child uses the new vertex.
+    The search runs on ``parent`` plus a vertex n adjacent to all, with
+    slot 0 fixed on n: each fill of slots 1..k is a candidate S, kept when
+    the rest of the plan completes.
+    """
+    n = parent.n
+    if pg.n > n + 1:
+        return ()
+    new = 1 << n
+    adj = parent.adj + (new - 1,)
+    img = [n] * pg.n
+    found = set()
+    for k, back in _plans(pg):
+        for used in _fills(adj, back, img, 1, k + 1, new):
+            s = used ^ new
+            if s not in found and _completes(adj, back, img, k + 1, used):
+                found.add(s)
+    minimal = []
+    for s in sorted(found, key=int.bit_count):
+        if all(t & ~s for t in minimal):
+            minimal.append(s)
+    return tuple(minimal)
 
 
 def is_free(host: Graph, f) -> bool:

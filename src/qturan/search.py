@@ -17,13 +17,13 @@ stored unvalidated on its rows, so a parent is its own canonical labelling
 and the parent test compares rows; graph6 only orders levels and output.
 
 Children that contain F are rejected by forbidden neighbourhoods (the new
-vertex's neighbourhood pruning of McKay's geng): once per parent P, every
-embedding of F - p into P, for each anchor vertex p of F, marks the image
-of N_F(p) as a forbidden set, and a mask is dropped iff it contains one of
-the inclusion-minimal forbidden sets.  This is exact only because every
-parent is F-free, so every copy of F in a child passes through the new
-vertex; the anchored matcher stays as the test oracle.  This filter runs
-before the degree filter.
+vertex's neighbourhood pruning of McKay's geng): once per parent P,
+``patterns.forbidden_sets`` marks the image of N_F(p) under every
+embedding of F - p into P, for each anchor vertex p of F, and a mask is
+dropped iff it contains one of the inclusion-minimal forbidden sets.  This
+is exact only because every parent is F-free, so every copy of F in a
+child passes through the new vertex.  This filter runs before the degree
+filter.
 
 Each level is built on one thread, parent by parent, and sorted by
 canonical graph6, so its order does not depend on the deletion rule.  The
@@ -41,13 +41,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from . import graphs, spectra
 from .graphs import Graph
-from .patterns import ForbiddenPattern, anchor_vertices, contains_subgraph
+from .patterns import ForbiddenPattern, contains_subgraph, forbidden_sets
 
 MEASURES = ("edges", "lambda", "q")
 ALL_GRAPHS = "all"
@@ -131,94 +130,6 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return graphs._unchecked(n + 1, tuple(rows))
 
 
-@lru_cache(maxsize=64)
-def _embedding_plans(pg: Graph) -> tuple:
-    """How to embed F - p for each anchor vertex p of F.
-
-    A plan is ``(k, back)`` over an order of the vertices of F - p that
-    puts p's k neighbours first and then, within each part, the vertex with
-    the most edges to those already placed; ``back[d]`` lists the earlier
-    slots adjacent to slot d.
-    """
-    plans = []
-    for p in anchor_vertices(pg):
-        nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]
-        others = [u for u in range(pg.n) if u != p and not (pg.adj[p] >> u) & 1]
-        order = []
-        for group in (nbrs, others):
-            while group:
-                placed = sum(1 << u for u in order)
-                u = max(
-                    group,
-                    key=lambda u: ((pg.adj[u] & placed).bit_count(), pg.degree(u)),
-                )
-                group.remove(u)
-                order.append(u)
-        back = tuple(
-            tuple(j for j in range(d) if pg.has_edge(order[j], u))
-            for d, u in enumerate(order)
-        )
-        plans.append((pg.degree(p), back))
-    return tuple(plans)
-
-
-def _forbidden_sets(parent: Graph, pg: Graph) -> tuple:
-    """Inclusion-minimal masks S such that the child of ``parent`` with
-    neighbourhood mask M contains F iff some S satisfies ``S & ~M == 0``.
-
-    Each S is phi(N_F(p)) for an anchor vertex p of F and an embedding phi
-    of F - p into ``parent``.  The equivalence holds only because
-    ``parent`` is F-free, so every copy of F in a child uses the new vertex.
-    """
-    n = parent.n
-    if pg.n > n + 1:
-        return ()
-    adj = parent.adj
-    full = (1 << n) - 1
-    found = set()
-    for k, back in _embedding_plans(pg):
-        size = len(back)
-        img = [0] * size
-
-        def candidates(d, used):
-            cand = full & ~used
-            for j in back[d]:
-                cand &= adj[img[j]]
-            return cand
-
-        def completes(d, used):
-            if d == size:
-                return True
-            cand = candidates(d, used)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                img[d] = low.bit_length() - 1
-                if completes(d + 1, used | low):
-                    return True
-            return False
-
-        def neighbourhoods(d, used):
-            # slots below k hold N_F(p), so at d == k ``used`` is S
-            if d == k:
-                if used not in found and completes(k, used):
-                    found.add(used)
-                return
-            cand = candidates(d, used)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                img[d] = low.bit_length() - 1
-                neighbourhoods(d + 1, used | low)
-
-        neighbourhoods(0, 0)
-    minimal = []
-    for s in sorted(found, key=int.bit_count):
-        if all(t & ~s for t in minimal):
-            minimal.append(s)
-    return tuple(minimal)
-
-
 def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
     """Canonical rows of the accepted children, plus candidates examined.
 
@@ -234,7 +145,7 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
     examined = 1 << n
     masks = range(examined)
     if f is not None:
-        forbidden = _forbidden_sets(parent, f.graph)
+        forbidden = forbidden_sets(parent, f.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
     degrees = [row.bit_count() for row in parent.adj]
     dmax = max(degrees)
@@ -378,7 +289,9 @@ def _config_hash(f, n, measure, config: SearchConfig) -> str:
 
 def _cache_path(f, n, measure, config: SearchConfig) -> Path:
     label = f.name if f.name else "g6-" + f.canonical().encode().hex()
-    return Path(config.cache_dir) / label / measure / f"n={n}.json"
+    # each mode keeps its own file, so alternating modes never evict each other
+    suffix = "" if config.mode == ALL_GRAPHS else f".{config.mode}"
+    return Path(config.cache_dir) / label / measure / f"n={n}{suffix}.json"
 
 
 def _read_cached(path: Path, chash: str) -> Optional[ExtremalRecord]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qturan import graphs, search
+from qturan import graphs, patterns, search
 from qturan.patterns import pattern_by_name
 from qturan.search import (
     ALL_GRAPHS,
@@ -34,6 +34,22 @@ class TestEnumeration:
         }
         for n, count in expected.items():
             assert len(enumerate_free(n, f)) == count
+
+    def test_repeat_call_labels_nothing(self, monkeypatch):
+        # the pattern is labelled once, when it is built, and the levels of
+        # the first call are cached, so a repeat call labels no graph
+        f = pattern_by_name("K4")
+        enumerate_free(5, f)
+        calls = []
+        real = graphs._canonical
+
+        def counting(n, adj):
+            calls.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(graphs, "_canonical", counting)
+        enumerate_free(5, f)
+        assert calls == []
 
     def test_triangle_free_classes_match_oracle(self):
         f = pattern_by_name("K3")
@@ -186,7 +202,7 @@ class TestForbiddenSets:
                 p for n in range(1, top + 1) for p in enumerate_free(n, f)
             ]
             for parent in parents:
-                sets = search._forbidden_sets(parent, f.graph)
+                sets = patterns.forbidden_sets(parent, f.graph)
                 for mask in range(1 << parent.n):
                     rejected = any(s & ~mask == 0 for s in sets)
                     child = search._extend(parent, mask)
@@ -194,6 +210,45 @@ class TestForbiddenSets:
                     assert rejected == oracle, (f.label(), parent.adj, mask)
                     checked += 1
         assert checked == 30478  # every mask of every parent above
+
+    @pytest.mark.parametrize(
+        "names, count",
+        [(None, 6518), (("C5", "K2_3"), 2132)],
+        ids=["all-classes-le-4", "C5-K2_3"],
+    )
+    def test_verdict_matches_naive_oracle(self, names, count):
+        # independent gate: a mask contains a forbidden set iff some
+        # injective map of V(F) into the child puts a pattern vertex on the
+        # new vertex n and sends every edge of F to a child edge
+        if names is None:
+            fs = [
+                patterns.ForbiddenPattern.from_graph(g)
+                for k in range(1, 5)
+                for g in classes_naive(all_labeled_graphs(k))
+            ]
+        else:
+            fs = [pattern_by_name(name) for name in names]
+        checked = 0
+        for f in fs:
+            edges = list(f.graph.edges())
+            for parent in (p for n in range(1, 6) for p in enumerate_free(n, f)):
+                n = parent.n
+                images = [
+                    img
+                    for img in itertools.permutations(range(n + 1), f.graph.n)
+                    if n in img
+                ]
+                sets = patterns.forbidden_sets(parent, f.graph)
+                for mask in range(1 << n):
+                    adj = search._extend(parent, mask).adj
+                    oracle = any(
+                        all((adj[img[u]] >> img[v]) & 1 for u, v in edges)
+                        for img in images
+                    )
+                    rejected = any(s & ~mask == 0 for s in sets)
+                    assert rejected == oracle, (f.label(), parent.adj, mask)
+                    checked += 1
+        assert checked == count  # every mask of every parent with n <= 5
 
     def test_k4_sets_are_the_parent_triangles(self):
         f = pattern_by_name("K4")
@@ -205,13 +260,13 @@ class TestForbiddenSets:
                 and parent.has_edge(a, c)
                 and parent.has_edge(b, c)
             }
-            assert set(search._forbidden_sets(parent, f.graph)) == triangles
+            assert set(patterns.forbidden_sets(parent, f.graph)) == triangles
 
     def test_sets_are_inclusion_minimal(self):
         for name in ("C4", "K1_3", "K2_3"):
             f = pattern_by_name(name)
             for parent in enumerate_free(5, f):
-                sets = search._forbidden_sets(parent, f.graph)
+                sets = patterns.forbidden_sets(parent, f.graph)
                 assert len(set(sets)) == len(sets)
                 for s, t in itertools.permutations(sets, 2):
                     assert s & ~t != 0
@@ -349,6 +404,22 @@ class TestDiskCache:
         path.write_text(json.dumps(blob))
         cfg = SearchConfig(cache_dir=str(tmp_path), budget=10**5, max_n=9)
         assert extremal(4, f, "edges", cfg).wallclock == -1.0
+
+    def test_modes_keep_separate_records(self, tmp_path):
+        # alternating all and maximal mode must not evict each other's record
+        f = pattern_by_name("K3")
+        all_cfg = SearchConfig(cache_dir=str(tmp_path))
+        maximal_cfg = SearchConfig(cache_dir=str(tmp_path), mode=MAXIMAL_ONLY)
+        extremal(5, f, "q", all_cfg)
+        extremal(5, f, "q", maximal_cfg)
+        folder = tmp_path / "K3" / "q"
+        assert len(list(folder.iterdir())) == 2
+        for path in folder.iterdir():
+            blob = json.loads(path.read_text())
+            blob["record"]["wallclock"] = -1.0  # marks a record served from disk
+            path.write_text(json.dumps(blob))
+        assert extremal(5, f, "q", all_cfg).wallclock == -1.0
+        assert extremal(5, f, "q", maximal_cfg).wallclock == -1.0
 
     def test_graph6_fallback_dir_for_unnamed_pattern(self, tmp_path):
         from qturan.patterns import ForbiddenPattern
