@@ -171,10 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, pattern=True):
-        if pattern:
-            p.add_argument("--pattern", help="pattern name (K3, C5, ...)")
-            p.add_argument("--pattern-g6", help="pattern as a graph6 string")
+    def add_common(p):
+        p.add_argument("--pattern", help="pattern name (K3, C5, ...)")
+        p.add_argument("--pattern-g6", help="pattern as a graph6 string")
         p.add_argument("--workers", type=int, default=1, help="has no effect")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")

@@ -119,19 +119,7 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Return the graph with old vertex ``perm[i]`` at new position i."""
-        pos = [0] * self.n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        rows = [0] * self.n
-        for i, v in enumerate(perm):
-            m = self.adj[v]
-            row = 0
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                row |= 1 << pos[w]
-            rows[i] = row
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, _encode(self.n, self.adj, perm))
 
     # -- structure -------------------------------------------------------
 

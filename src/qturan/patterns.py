@@ -49,27 +49,22 @@ def _pattern_graph(f) -> Graph:
 
 
 @lru_cache(maxsize=4096)
-def anchor_vertices(pg: Graph) -> tuple:
-    """Pattern vertices that can be mapped onto one fixed host vertex, deduped
-    by transposition automorphisms (enough when anchoring a single host vertex)."""
-    reps = []
-    for p in range(pg.n):
-        if not any(_interchangeable(pg.adj, p, r) for r in reps):
-            reps.append(p)
-    return tuple(reps)
-
-
-@lru_cache(maxsize=4096)
 def _plans(pg: Graph) -> tuple:
     """One embedding plan ``(k, back)`` per anchor vertex p of F.
 
-    The order puts p in slot 0, p's k neighbours in slots 1..k and the rest
-    after them; within each part it takes the vertex with the most edges to
-    those already placed, ties broken by degree.  ``back[d]`` lists the
-    earlier slots adjacent to slot d.
+    Anchors are deduped by transposition automorphisms, which is enough
+    when a single host vertex is fixed.  The order puts p in slot 0, p's k
+    neighbours in slots 1..k and the rest after them; within each part it
+    takes the vertex with the most edges to those already placed, ties
+    broken by degree.  ``back[d]`` lists the earlier slots adjacent to
+    slot d.
     """
+    anchors = []
+    for p in range(pg.n):
+        if not any(_interchangeable(pg.adj, p, r) for r in anchors):
+            anchors.append(p)
     plans = []
-    for p in anchor_vertices(pg):
+    for p in anchors:
         nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]
         others = [u for u in range(pg.n) if u != p and not (pg.adj[p] >> u) & 1]
         order = [p]

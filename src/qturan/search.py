@@ -39,10 +39,9 @@ import hashlib
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import graphs, spectra
 from .graphs import Graph
@@ -59,7 +58,7 @@ VALUE_TOL = 1e-9
 
 # hashed into every cache key; bump it when a record's format or the
 # meaning of one of its fields changes, so older records become misses
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 @dataclass
@@ -78,18 +77,9 @@ class ExtremalRecord:
     value: float
     witnesses: list
     graphs_examined: int
-    wallclock: float
 
 
-_RECORD_TYPES = {
-    "n": int,
-    "pattern": str,
-    "measure": str,
-    "value": float,
-    "witnesses": list,
-    "graphs_examined": int,
-    "wallclock": float,
-}
+_RECORD_TYPES = get_type_hints(ExtremalRecord)
 
 
 class SearchError(ValueError):
@@ -233,16 +223,16 @@ def _is_edge_maximal(g: Graph, f: Optional[ForbiddenPattern]) -> bool:
 def enumerate_free(
     n: int,
     f: Optional[ForbiddenPattern] = None,
-    mode: str = ALL_GRAPHS,
     config: Optional[SearchConfig] = None,
 ):
     """One canonical representative per isomorphism class of F-free graphs.
 
-    ``mode="maximal"`` keeps only the edge-maximal (F-saturated) classes.
+    ``config.mode == "maximal"`` keeps only the edge-maximal (F-saturated)
+    classes.
     """
     config = config or SearchConfig()
-    if mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
-        raise SearchError(f"unknown mode {mode!r}")
+    if config.mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
+        raise SearchError(f"unknown mode {config.mode!r}")
     _check_cap(n, config)
     budget_used = 0
     progress = {}
@@ -258,7 +248,7 @@ def enumerate_free(
                 budget_used,
             )
     reps = list(_LEVELS[(_pattern_key(f), n)][0])
-    if mode == MAXIMAL_ONLY:
+    if config.mode == MAXIMAL_ONLY:
         reps = [g for g in reps if _is_edge_maximal(g, f)]
     return reps
 
@@ -344,8 +334,7 @@ def extremal(
         cached = _read_cached(cache_file, chash)
         if cached is not None:
             return cached
-    start = time.perf_counter()
-    reps = enumerate_free(n, f, config.mode, config)
+    reps = enumerate_free(n, f, config)
     if not reps:
         raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
     values = [_evaluate(g, measure) for g in reps]
@@ -360,7 +349,6 @@ def extremal(
         value=best,
         witnesses=witnesses,
         graphs_examined=_total_examined(f, n),
-        wallclock=time.perf_counter() - start,
     )
     if cache_file is not None:
         _write_cached(cache_file, chash, record)

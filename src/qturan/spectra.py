@@ -4,8 +4,10 @@ q(G) is the largest eigenvalue of Q(G) = D(G) + A(G).  The fast path is
 deterministic power iteration (Q is PSD, so its top eigenvalue dominates;
 the adjacency iteration is run on A + delta*I to avoid sign flips on
 bipartite spectra).  Dense symmetric eigensolve is the fallback and the
-cross-check oracle at small n.  Disconnected graphs are handled per
-component; ties between components break on the smallest canonical form.
+cross-check oracle at small n.  Each component is solved on its block of
+one adjacency matrix: the largest value wins, an exact tie goes to the
+component with the smaller canonical form, and the Perron vector is zero
+off the winner.
 
 The iteration is ``_kernels.power_iteration``.  Its summation order fixes
 the last bits of the reported value and vector, and so of CLI output such
@@ -58,11 +60,13 @@ def normalize_kind(kind: str) -> str:
         raise SpectralError(f"unknown matrix kind {kind!r}") from None
 
 
+def _with_degrees(a: np.ndarray, kind: str) -> np.ndarray:
+    """Q = D + A for the signless Laplacian, A itself for the adjacency."""
+    return a + np.diag(a.sum(axis=1)) if kind == SIGNLESS_LAPLACIAN else a
+
+
 def matrix_of(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> np.ndarray:
-    a = g.adjacency_matrix()
-    if normalize_kind(kind) == SIGNLESS_LAPLACIAN:
-        return a + np.diag(a.sum(axis=1))
-    return a
+    return _with_degrees(g.adjacency_matrix(), normalize_kind(kind))
 
 
 def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
@@ -95,50 +99,40 @@ def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
 def spectral_radius(
     g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN, tol: float = DEFAULT_TOL
 ) -> SpectralResult:
-    """Largest eigenvalue of A(G) or Q(G) with a unit nonnegative eigenvector."""
+    """Largest eigenvalue of A(G) or Q(G) with a unit nonnegative eigenvector.
+
+    Each component is solved on its own block of the matrix.  The largest
+    value wins; on an exact tie the component with the smaller canonical
+    form wins, and only then are components labelled.  The vector is zero
+    off the winning component.
+    """
     if tol <= 0:
         raise SpectralError("tol must be positive")
     kind = normalize_kind(kind)
+    a = g.adjacency_matrix()
     comps = g.components()
-    if len(comps) == 1:
-        value, vec, resid, iters, method = _radius_of_matrix(
-            g.adjacency_matrix(), kind, tol
-        )
-        full_vec = vec
-    else:
-        best = None
-        for comp in comps:
-            sub = g.induced_subgraph(comp)
-            value, vec, resid, iters, method = _radius_of_matrix(
-                sub.adjacency_matrix(), kind, tol
-            )
-            entry = (value, vec, comp, iters, method)
-            if best is None:
-                best, best_sub, best_form = entry, sub, None
-                continue
-            # the key (-value, canonical form) reaches the form only on an
-            # exact tie, so only then are the two components labelled
-            form = None
-            if value == best[0]:
-                form = graphs.canonical_form(sub)
-                if best_form is None:
-                    best_form = graphs.canonical_form(best_sub)
-            key, best_key = (-value, form), (-best[0], best_form)
-            dv = value - best[0]
-            if dv > 1e-9 or (abs(dv) <= 1e-9 and key < best_key):
-                best, best_sub, best_form = entry, sub, form
-        value, vec, comp, iters, method = best
-        full_vec = np.zeros(g.n)
-        idx = 0
-        for v in range(g.n):
-            if (comp >> v) & 1:
-                full_vec[v] = vec[idx]
-                idx += 1
-        mat = matrix_of(g, kind)
-        resid = float(np.linalg.norm(mat @ full_vec - value * full_vec))
+    best = best_form = None
+    for comp in comps:
+        idx = [v for v in range(g.n) if (comp >> v) & 1]
+        block = a if len(comps) == 1 else a[np.ix_(idx, idx)]
+        entry = (_radius_of_matrix(block, kind, tol), comp, idx)
+        if best is None or entry[0][0] > best[0][0]:
+            best, best_form = entry, None
+        elif entry[0][0] == best[0][0]:
+            form = graphs.canonical_form(g.induced_subgraph(comp))
+            if best_form is None:
+                best_form = graphs.canonical_form(g.induced_subgraph(best[1]))
+            if form < best_form:
+                best, best_form = entry, form
+    (value, vec, resid, iters, method), _, idx = best
+    if len(comps) > 1:
+        full = np.zeros(g.n)
+        full[idx] = vec
+        vec = full
+        resid = np.linalg.norm(_with_degrees(a, kind) @ vec - value * vec)
     return SpectralResult(
         value=float(value),
-        vector=full_vec,
+        vector=vec,
         residual=float(resid),
         iterations=iters,
         method=method,

@@ -9,7 +9,7 @@ are surfaced rather than silently counted as passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -187,7 +187,7 @@ def sweep_graphs(
     config = config or SearchConfig()
     reports = []
     for n in range(1, n_max + 1):
-        for g in search.enumerate_free(n, None, search.ALL_GRAPHS, config):
+        for g in search.enumerate_free(n, None, config):
             if connected_only and not g.is_connected():
                 continue
             reports.append(check(g, tol))
@@ -228,17 +228,7 @@ class ConvergenceRow:
     mu_sq_times_n: float
 
 
-ROW_FIELDS = (
-    "n",
-    "ex_edges",
-    "ex_lambda",
-    "ex_q",
-    "ratio_edges",
-    "ratio_lambda",
-    "ratio_q_n",
-    "ratio_q_n1",
-    "mu_sq_times_n",
-)
+ROW_FIELDS = tuple(f.name for f in fields(ConvergenceRow))
 
 
 @dataclass

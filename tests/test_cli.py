@@ -54,6 +54,15 @@ class TestExtremal:
         assert blob["measure"] == "q"
         assert blob["value"] == pytest.approx(6.0, abs=1e-8)
 
+    def test_json_output_is_deterministic(self, capsys):
+        # records carry no wall clock, so two runs print the same bytes
+        argv = (
+            "extremal", "--pattern", "K3", "--n", "6",
+            "--format", "json", "--no-cache",
+        )
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+
     def test_g6_output(self, capsys):
         code, out, _ = run(
             capsys,

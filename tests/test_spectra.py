@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -215,3 +216,24 @@ class TestProperties:
             expected = np.zeros(7)
             expected[k3] = third
             assert r.vector == pytest.approx(expected, abs=1e-9)
+
+    def test_component_result_is_the_winning_components_own(self):
+        # K3 wins every case: on values against K1 and K2, and on the exact
+        # tie with C4 by its smaller canonical form
+        k1, k2, k3 = graphs.complete(1), graphs.complete(2), graphs.complete(3)
+        cases = list(itertools.permutations([k1, k2, k3]))
+        cases += [(graphs.cycle(4), k3), (k3, graphs.cycle(4))]
+        for parts in cases:
+            g = graphs.disjoint_union(list(parts))
+            start = sum(p.n for p in parts[: parts.index(k3)])
+            idx = list(range(start, start + 3))
+            comp = sum(1 << v for v in idx)
+            for kind in ("q", "adjacency"):
+                r = spectra.spectral_radius(g, kind)
+                own = spectra.spectral_radius(g.induced_subgraph(comp), kind)
+                assert np.array_equal(r.vector[idx], own.vector)
+                assert (r.value, r.iterations, r.method) == (
+                    own.value, own.iterations, own.method
+                )
+                assert (np.delete(r.vector, idx) == 0).all()
+                assert r.residual <= 1e-8
