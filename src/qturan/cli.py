@@ -30,7 +30,7 @@ def _fmt(x) -> str:
 
 
 def _resolve_pattern(args) -> patterns.ForbiddenPattern:
-    if getattr(args, "pattern_g6", None):
+    if args.pattern_g6:
         g = graphs.from_graph6(args.pattern_g6)
         return patterns.ForbiddenPattern.from_graph(g)
     return patterns.parse_pattern(args.pattern)
@@ -38,15 +38,12 @@ def _resolve_pattern(args) -> patterns.ForbiddenPattern:
 
 def _search_config(args) -> search.SearchConfig:
     cache_dir = None
-    if not getattr(args, "no_cache", False):
-        cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
-            CACHE_ENV, DEFAULT_CACHE_DIR
-        )
+    if not args.no_cache:
+        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     return search.SearchConfig(
         mode=getattr(args, "mode", search.ALL_GRAPHS),
         cache_dir=cache_dir,
-        max_n=getattr(args, "max_n", 12),
-        budget=getattr(args, "budget", 10**8),
+        budget=args.budget,
     )
 
 
@@ -151,12 +148,10 @@ def _cmd_verify(args) -> int:
     elif args.check == "monotone":
         f = _resolve_pattern(args)
         reports = [verify.check_monotone_sequence(f, args.n_max, config)]
-    elif args.check == "star":
+    else:
         reports = [
             verify.check_star_theorem(args.t, range(args.t, args.n_max + 1), config)
         ]
-    else:  # pragma: no cover - argparse choices guard this
-        raise patterns.UnknownPatternError(f"unknown check {args.check!r}")
     sys.stdout.write(emit_reports(reports, args.format))
     if any(r.passed is False for r in reports):
         return EXIT_CHECK_FAILED
@@ -172,12 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--pattern", help="pattern name (K3, C5, ...)")
+        p.add_argument("--pattern", help="pattern name (K3, C5, ...) or graph6 string")
         p.add_argument("--pattern-g6", help="pattern as a graph6 string")
         p.add_argument("--workers", type=int, default=1, help="has no effect")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--max-n", type=int, default=12, dest="max_n")
         p.add_argument("--budget", type=int, default=10**8)
 
     p = sub.add_parser("spectrum", help="spectral radius of one graph")

@@ -1,7 +1,8 @@
 """Immutable bitmask graphs, named families, graph6 codec, canonical forms.
 
-A graph on n <= 64 vertices is stored as a tuple of n adjacency bitmasks,
-so degree/neighborhood queries are single popcounts and intersections.
+A graph on n <= MAX_VERTICES vertices is stored as a tuple of n adjacency
+bitmasks (Python ints, so of any width), so degree/neighborhood queries are
+single popcounts and intersections.
 All operations are pure: mutation returns a fresh Graph.
 """
 
@@ -11,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_VERTICES = 64
+# the largest n the graph6 codec writes: the four-byte header is "~" and
+# three 6-bit characters, the first of which must not be "~" (that would
+# open the 8-byte form), so n <= 62 * 2**12 + 2**12 - 1
+MAX_VERTICES = 258047
 
 
 class GraphError(ValueError):
@@ -292,29 +296,6 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def complete_multipartite_matrix(sizes) -> np.ndarray:
-    """Dense adjacency of a complete multipartite graph, any size.
-
-    Companion to :func:`turan` for part counts beyond the 64-vertex cap of
-    :class:`Graph`; used to probe closed forms like q(T_2(n)) = n at large n.
-    """
-    sizes = list(sizes)
-    n = sum(sizes)
-    a = np.ones((n, n)) - np.eye(n)
-    start = 0
-    for s in sizes:
-        a[start : start + s, start : start + s] = 0.0
-        start += s
-    return a
-
-
-def turan_matrix(r: int, n: int) -> np.ndarray:
-    if r < 1 or n < r:
-        raise GraphError(f"Turan graph needs 1 <= r <= n, got r={r}, n={n}")
-    q, rem = divmod(n, r)
-    return complete_multipartite_matrix([q + 1] * rem + [q] * (r - rem))
-
-
 # -- graph6 codec --------------------------------------------------------
 
 
@@ -351,7 +332,9 @@ def from_graph6(s: str) -> Graph:
         if len(s) < 4:
             raise Graph6Error("truncated long-form vertex count", len(s))
         if s[1] == "~":
-            raise Graph6Error("8-byte vertex counts exceed the 64-vertex cap", 1)
+            raise Graph6Error(
+                f"8-byte vertex counts exceed the {MAX_VERTICES}-vertex cap", 1
+            )
         n = 0
         for ch in s[1:4]:
             n = (n << 6) | (ord(ch) - 63)

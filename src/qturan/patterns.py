@@ -181,43 +181,6 @@ def contains_subgraph_naive(host: Graph, pattern_graph: Graph) -> bool:
 # -- chromatic number ----------------------------------------------------
 
 
-def _greedy_clique_bound(g: Graph) -> int:
-    best = 1
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    for start in order:
-        clique = [start]
-        cmask = 1 << start
-        cand = g.adj[start]
-        while cand:
-            v = max(
-                (w for w in range(g.n) if (cand >> w) & 1),
-                key=lambda w: (g.adj[w] & cand).bit_count(),
-            )
-            clique.append(v)
-            cmask |= 1 << v
-            cand &= g.adj[v]
-        best = max(best, len(clique))
-    return best
-
-
-def _dsatur_greedy(g: Graph):
-    colors = [-1] * g.n
-    for _ in range(g.n):
-        pick = max(
-            (v for v in range(g.n) if colors[v] < 0),
-            key=lambda v: (
-                len({colors[w] for w in g.neighbors(v) if colors[w] >= 0}),
-                g.degree(v),
-            ),
-        )
-        used = {colors[w] for w in g.neighbors(pick) if colors[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[pick] = c
-    return max(colors) + 1
-
-
 def _k_colorable(g: Graph, k: int) -> bool:
     colors = [-1] * g.n
 
@@ -246,39 +209,29 @@ def _k_colorable(g: Graph, k: int) -> bool:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number via DSATUR branch and bound."""
-    if g.edge_count() == 0:
-        return 1
-    lb = _greedy_clique_bound(g)
-    ub = _dsatur_greedy(g)
-    for k in range(lb, ub):
-        if _k_colorable(g, k):
-            return k
-    return ub
+    """Exact chromatic number: the least k for which DSATUR search succeeds."""
+    return next(k for k in range(1, g.n + 1) if _k_colorable(g, k))
 
 
 # -- named pattern registry ----------------------------------------------
 
 
-def _registry_builders():
-    reg = {
-        "K3": lambda: graphs.complete(3),
-        "K4": lambda: graphs.complete(4),
-        "K5": lambda: graphs.complete(5),
-        "C4": lambda: graphs.cycle(4),
-        "C5": lambda: graphs.cycle(5),
-        "C6": lambda: graphs.cycle(6),
-        "C7": lambda: graphs.cycle(7),
-        "K1_2": lambda: graphs.star(2),
-        "K1_3": lambda: graphs.star(3),
-        "K1_4": lambda: graphs.star(4),
-        "K2_3": lambda: graphs.complete_bipartite(2, 3),
-        "petersen": graphs.petersen,
-    }
-    return reg
+_REGISTRY = {
+    "K3": lambda: graphs.complete(3),
+    "K4": lambda: graphs.complete(4),
+    "K5": lambda: graphs.complete(5),
+    "C4": lambda: graphs.cycle(4),
+    "C5": lambda: graphs.cycle(5),
+    "C6": lambda: graphs.cycle(6),
+    "C7": lambda: graphs.cycle(7),
+    "K1_2": lambda: graphs.star(2),
+    "K1_3": lambda: graphs.star(3),
+    "K1_4": lambda: graphs.star(4),
+    "K2_3": lambda: graphs.complete_bipartite(2, 3),
+    "petersen": graphs.petersen,
+}
 
-
-PATTERN_NAMES = tuple(_registry_builders())
+PATTERN_NAMES = tuple(_REGISTRY)
 
 
 class UnknownPatternError(ValueError):
@@ -287,18 +240,16 @@ class UnknownPatternError(ValueError):
 
 @lru_cache(maxsize=None)
 def pattern_by_name(name: str) -> ForbiddenPattern:
-    builders = _registry_builders()
-    if name not in builders:
+    if name not in _REGISTRY:
         raise UnknownPatternError(
             f"unknown pattern {name!r}; known: {', '.join(PATTERN_NAMES)}"
         )
-    return ForbiddenPattern.from_graph(builders[name](), name=name)
+    return ForbiddenPattern.from_graph(_REGISTRY[name](), name=name)
 
 
 def parse_pattern(spec: str) -> ForbiddenPattern:
     """Pattern from a registry name, or from a graph6 string otherwise."""
-    builders = _registry_builders()
-    if spec in builders:
+    if spec in _REGISTRY:
         return pattern_by_name(spec)
     try:
         g = graphs.from_graph6(spec)

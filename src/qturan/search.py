@@ -63,7 +63,6 @@ CACHE_SCHEMA = 3
 
 @dataclass
 class SearchConfig:
-    max_n: int = 12
     mode: str = ALL_GRAPHS
     cache_dir: Optional[str] = None
     budget: int = 10**8
@@ -201,10 +200,9 @@ def _total_examined(f, n) -> int:
     return total
 
 
-def _check_cap(n: int, config: SearchConfig):
-    cap = min(HARD_CAP, config.max_n)
-    if n > cap:
-        raise SearchError(f"n={n} exceeds the cap of {cap}")
+def _check_cap(n: int):
+    if n > HARD_CAP:
+        raise SearchError(f"n={n} exceeds the cap of {HARD_CAP}")
 
 
 def _is_edge_maximal(g: Graph, f: Optional[ForbiddenPattern]) -> bool:
@@ -233,7 +231,7 @@ def enumerate_free(
     config = config or SearchConfig()
     if config.mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
         raise SearchError(f"unknown mode {config.mode!r}")
-    _check_cap(n, config)
+    _check_cap(n)
     budget_used = 0
     progress = {}
     for k in range(1, n + 1):

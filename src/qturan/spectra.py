@@ -75,12 +75,8 @@ def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
     if n == 1:
         return 0.0, np.array([1.0]), 0.0, 0, "dense"
     degrees = adj.sum(axis=1)
-    if kind == SIGNLESS_LAPLACIAN:
-        mat = adj + np.diag(degrees)
-        shift = 0.0
-    else:
-        mat = adj
-        shift = float(degrees.max())
+    mat = _with_degrees(adj, kind)
+    shift = 0.0 if kind == SIGNLESS_LAPLACIAN else float(degrees.max())
     x0 = degrees + 1.0
     max_iter = max(100, int(100 * n * math.log(n + 1)))
     value, vec, resid, iters, ok = power_iteration(
@@ -137,21 +133,6 @@ def spectral_radius(
         iterations=iters,
         method=method,
     )
-
-
-def spectral_radius_matrix(
-    adjacency: np.ndarray, kind: str = SIGNLESS_LAPLACIAN, tol: float = DEFAULT_TOL
-) -> SpectralResult:
-    """Like :func:`spectral_radius` but on a dense 0/1 adjacency of any size.
-
-    Escape hatch for closed-form probes past the 64-vertex Graph cap; the
-    matrix is treated as a single block.
-    """
-    kind = normalize_kind(kind)
-    value, vec, resid, iters, method = _radius_of_matrix(
-        np.asarray(adjacency, dtype=np.float64), kind, tol
-    )
-    return SpectralResult(value, vec, resid, iters, method)
 
 
 def q_radius(g: graphs.Graph, tol: float = DEFAULT_TOL) -> float:

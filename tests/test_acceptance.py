@@ -17,7 +17,7 @@ def _turan_or_complete(r, n):
 def test_criterion_1_closed_form_spectra(acceptance_report):
     worst = 0.0
     for n in range(2, 201):
-        q = spectra.spectral_radius_matrix(graphs.turan_matrix(2, n), "q").value
+        q = spectra.q_radius(graphs.turan(2, n))
         worst = max(worst, abs(q - n))
     for t in range(2, 51):
         q = spectra.q_radius(graphs.complete(t))

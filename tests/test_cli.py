@@ -26,6 +26,13 @@ class TestSpectrum:
         assert code == 0
         assert "value 2" in out
 
+    def test_long_form_graph6_input(self, capsys):
+        # T_3(90) needs the four-byte graph6 header; q(T_3(n)) = 4n/3
+        g6 = graphs.to_graph6(graphs.turan(3, 90))
+        code, out, _ = run(capsys, "spectrum", "--graph", g6)
+        assert code == 0
+        assert out.splitlines()[0] == "value 120"
+
     def test_unknown_graph_usage_error(self, capsys):
         code, _, err = run(capsys, "spectrum", "--graph", "K99_junk")
         assert code == 2
@@ -126,7 +133,7 @@ class TestExtremal:
             capsys, "extremal", "--pattern", "K3", "--n", "13", "--no-cache"
         )
         assert code == 2
-        assert "error:" in err
+        assert "error: n=13 exceeds the cap of 12" in err
 
 
 class TestVerify:

@@ -49,7 +49,7 @@ class TestFamilies:
         with pytest.raises(graphs.GraphError):
             graphs.star(0)
         with pytest.raises(graphs.GraphError):
-            graphs.Graph(70, (0,) * 70)
+            graphs.Graph(graphs.MAX_VERTICES + 1, (0,) * (graphs.MAX_VERTICES + 1))
 
 
 class TestMutation:
@@ -104,7 +104,7 @@ class TestGraph6:
             assert graphs.from_graph6(graphs.to_graph6(g)).adj == g.adj
 
     def test_roundtrip_long_form(self):
-        for n in (63, 64):
+        for n in (63, 64, 65, 200):
             g = graphs.cycle(n)
             s = graphs.to_graph6(g)
             assert s.startswith("~")
@@ -125,6 +125,8 @@ class TestGraph6:
             graphs.from_graph6("C~~")  # trailing junk
         with pytest.raises(graphs.Graph6Error):
             graphs.from_graph6("B\x1f")  # out-of-range byte
+        with pytest.raises(graphs.Graph6Error, match=str(graphs.MAX_VERTICES)):
+            graphs.from_graph6("~~?????" + "B")  # 8-byte vertex count
         with pytest.raises(graphs.Graph6Error):
             graphs.from_graph6("")
 

@@ -100,8 +100,6 @@ class TestEnumeration:
         with pytest.raises(SearchError):
             enumerate_free(13)
         with pytest.raises(SearchError):
-            enumerate_free(8, config=SearchConfig(max_n=7))
-        with pytest.raises(SearchError):
             enumerate_free(4, config=SearchConfig(mode="bogus"))
 
     def test_maximal_mode_has_the_same_cap(self):
@@ -109,11 +107,8 @@ class TestEnumeration:
         # cannot reach further than full mode; the cap is checked before
         # any level is built (a budget of 1 makes a missed cap fail at once)
         search.clear_caches()
-        for max_n in (12, 14):
-            with pytest.raises(SearchError):
-                enumerate_free(
-                    13, config=SearchConfig(mode=MAXIMAL_ONLY, max_n=max_n, budget=1)
-                )
+        with pytest.raises(SearchError):
+            enumerate_free(13, config=SearchConfig(mode=MAXIMAL_ONLY, budget=1))
         assert not search._LEVELS
 
     def test_budget_exceeded(self):
@@ -396,14 +391,14 @@ class TestDiskCache:
         rec2 = extremal(4, f, "edges", cfg)
         assert rec2.value == rec1.value  # poisoned entry was ignored
 
-    def test_budget_and_max_n_excluded_from_hash(self, tmp_path):
+    def test_budget_excluded_from_hash(self, tmp_path):
         f = pattern_by_name("K3")
         extremal(4, f, "edges", SearchConfig(cache_dir=str(tmp_path)))
         path = tmp_path / "K3" / "edges" / "n=4.json"
         blob = json.loads(path.read_text())
         blob["record"]["graphs_examined"] = -1  # marks a record served from disk
         path.write_text(json.dumps(blob))
-        cfg = SearchConfig(cache_dir=str(tmp_path), budget=10**5, max_n=9)
+        cfg = SearchConfig(cache_dir=str(tmp_path), budget=10**5)
         assert extremal(4, f, "edges", cfg).graphs_examined == -1
 
     def test_modes_keep_separate_records(self, tmp_path):

@@ -37,12 +37,6 @@ class TestClosedForms:
                 graphs.complete_bipartite(s, t)
             ) == pytest.approx(s + t, abs=1e-8)
 
-    def test_matrix_helper_matches_graph_path(self):
-        g = graphs.turan(3, 10)
-        r1 = spectra.spectral_radius(g, "q")
-        r2 = spectra.spectral_radius_matrix(g.adjacency_matrix(), "q")
-        assert r1.value == pytest.approx(r2.value, abs=1e-8)
-
 
 class TestSpectralResult:
     def test_unit_nonnegative_vector(self):
