@@ -1,11 +1,19 @@
 """Power iteration, the one numeric inner loop.
 
-It works on numpy arrays but sums the Rayleigh quotient and the residual
-in Python loops, whose order fixes the last bits of every reported value
-(and so the CLI's output).  The embedding search lives in ``patterns``.
+``mat @ x`` and the scaling ``y / ny`` run in numpy.  The Rayleigh
+quotient and the residual are summed in Python loops over Python floats
+(one ``.tolist()`` of x and of y per iteration), each left to right with
+``+=``.  That fixed order pins the last bits of every reported value and
+vector, and so the CLI's output.  Neither loop may become ``sum`` (Python
+3.12+ compensates its rounding), ``math.fsum`` or a numpy ``dot``: each
+sums in another order and moves those bits.  The norm of y is
+``math.sqrt(y.dot(y))``, which is exactly what ``np.linalg.norm`` computes
+for a 1-D float array.  The embedding search lives in ``patterns``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,24 +24,24 @@ def power_iteration(mat, x0, tol, max_iter):
     Returns (value, vector, residual, iterations, converged).  Residual is
     the 2-norm of ``mat@x - value*x`` at the reported iterate.
     """
-    n = mat.shape[0]
     x = x0 / np.linalg.norm(x0)
     theta = 0.0
     resid = 0.0
-    it = 0
     for it in range(max_iter):
         y = mat @ x
+        xs = x.tolist()
+        ys = y.tolist()
         theta = 0.0
-        for i in range(n):
-            theta += x[i] * y[i]
+        for xi, yi in zip(xs, ys):
+            theta += xi * yi
         r2 = 0.0
-        for i in range(n):
-            diff = y[i] - theta * x[i]
+        for xi, yi in zip(xs, ys):
+            diff = yi - theta * xi
             r2 += diff * diff
-        resid = np.sqrt(r2)
+        resid = math.sqrt(r2)
         if resid <= tol:
             return theta, x, resid, it + 1, True
-        ny = np.linalg.norm(y)
+        ny = math.sqrt(y.dot(y))
         if ny == 0.0:
             return 0.0, x, 0.0, it + 1, True
         x = y / ny

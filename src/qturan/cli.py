@@ -232,6 +232,7 @@ def main(argv=None) -> int:
         graphs.GraphError,
         search.SearchError,
         spectra.SpectralError,
+        verify.VerifyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

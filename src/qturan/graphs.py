@@ -475,7 +475,3 @@ def canonical_form(g: Graph) -> str:
 def canonical_permutation(g: Graph):
     """Permutation p with p[i] = old vertex at canonical position i."""
     return _canonical(g.n, g.adj)[1]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(canonical_permutation(g))

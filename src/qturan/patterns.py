@@ -7,12 +7,11 @@ question.  It follows a plan per anchor vertex p of F: p first, then its
 neighbours, then the rest, each part ordered by edges to the vertices
 already placed.  The same plans decide containment, anchored containment
 and the forbidden neighbourhoods of canonical augmentation; the naive
-matcher is the test oracle for all of them.
+matcher in ``tests/conftest.py`` is the test oracle for all of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -164,18 +163,6 @@ def forbidden_sets(parent: Graph, pg: Graph) -> tuple:
 
 def is_free(host: Graph, f) -> bool:
     return not contains_subgraph(host, f)
-
-
-def contains_subgraph_naive(host: Graph, pattern_graph: Graph) -> bool:
-    """Oracle matcher: try every injective vertex map.  Test use only."""
-    pg = _pattern_graph(pattern_graph)
-    if pg.n > host.n:
-        return False
-    pedges = list(pg.edges())
-    for image in itertools.permutations(range(host.n), pg.n):
-        if all(host.has_edge(image[u], image[v]) for u, v in pedges):
-            return True
-    return False
 
 
 # -- chromatic number ----------------------------------------------------

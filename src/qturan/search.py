@@ -201,6 +201,8 @@ def _total_examined(f, n) -> int:
 
 
 def _check_cap(n: int):
+    if n < 1:
+        raise SearchError(f"n={n} is below 1")
     if n > HARD_CAP:
         raise SearchError(f"n={n} exceeds the cap of {HARD_CAP}")
 

@@ -9,11 +9,14 @@ one adjacency matrix: the largest value wins, an exact tie goes to the
 component with the smaller canonical form, and the Perron vector is zero
 off the winner.
 
-The iteration is ``_kernels.power_iteration``.  Its summation order fixes
-the last bits of the reported value and vector, and so of CLI output such
-as the checkers' slacks, the ``residual`` line of ``spectrum`` and the
-``mu_sq_times_n`` column of ``table``.  Extremal search itself evaluates
-with ``dense_*_value`` (LAPACK).
+The iteration is ``_kernels.power_iteration``.  It sums the Rayleigh
+quotient and the residual in Python loops over Python floats, left to
+right; that fixed order pins the last bits of the reported value and
+vector, and so of CLI output such as the checkers' slacks, the
+``residual`` line of ``spectrum`` and the ``mu_sq_times_n`` column of
+``table``.  ``sum``, ``math.fsum`` or a numpy ``dot`` in place of those
+loops would move them.  Extremal search itself evaluates with
+``dense_*_value`` (LAPACK).
 """
 
 from __future__ import annotations
@@ -79,9 +82,8 @@ def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
     shift = 0.0 if kind == SIGNLESS_LAPLACIAN else float(degrees.max())
     x0 = degrees + 1.0
     max_iter = max(100, int(100 * n * math.log(n + 1)))
-    value, vec, resid, iters, ok = power_iteration(
-        mat + shift * np.eye(n), x0, tol, max_iter
-    )
+    shifted = mat if kind == SIGNLESS_LAPLACIAN else mat + shift * np.eye(n)
+    value, vec, resid, iters, ok = power_iteration(shifted, x0, tol, max_iter)
     if ok:
         return float(value) - shift, vec, float(resid), int(iters), "power"
     vals, vecs = np.linalg.eigh(mat)
@@ -163,14 +165,3 @@ def rayleigh_q(g: graphs.Graph, x) -> float:
     for u, v in g.edges():
         total += (x[u] + x[v]) ** 2
     return total
-
-
-def min_perron_entry(result: SpectralResult) -> float:
-    return float(result.vector.min())
-
-
-def eigen_equation_residual(g: graphs.Graph, result: SpectralResult, u: int) -> float:
-    """|(q - d(u)) x_u - sum_{j ~ u} x_j| for the reported eigenpair."""
-    x = result.vector
-    s = sum(x[j] for j in g.neighbors(u))
-    return abs((result.value - g.degree(u)) * x[u] - s)

@@ -24,6 +24,10 @@ EIGEN_TOL = 1e-10
 EXACT_TOL = 1e-9
 
 
+class VerifyError(ValueError):
+    """A checker's parameters are out of its range."""
+
+
 @dataclass
 class CheckReport:
     check_id: str
@@ -144,16 +148,18 @@ def check_star_theorem(
     """Brute-force ex_q(n, K_{1,t}) equals 2(t-1) with a disjoint union of
     K_t's (plus isolated vertices) among the witnesses."""
     if t < 2:
-        raise ValueError("star theorem needs t >= 2")
+        raise VerifyError(f"star theorem needs t >= 2, got t={t}")
     config = config or SearchConfig()
     f = ForbiddenPattern.from_graph(graphs.star(t), name=f"K1_{t}")
     expected = 2.0 * (t - 1)
     n_list = list(n_range)
+    if not n_list:
+        raise VerifyError(f"star theorem needs some n >= t={t}")
     subject = f"K1_{t}, n in {n_list}"
     worst = math.inf
     for n in n_list:
         if n < t:
-            raise ValueError(f"need n >= t, got n={n}, t={t}")
+            raise VerifyError(f"need n >= t, got n={n}, t={t}")
         rec = search.extremal(n, f, "q", config)
         worst = min(worst, tol - abs(rec.value - expected))
         copies = n // t

@@ -35,6 +35,33 @@ def classes_naive(graph_iter):
     return reps
 
 
+def contains_subgraph_naive(host, pattern_graph):
+    """Oracle matcher: try every injective vertex map."""
+    if pattern_graph.n > host.n:
+        return False
+    pedges = list(pattern_graph.edges())
+    for image in itertools.permutations(range(host.n), pattern_graph.n):
+        if all(host.has_edge(image[u], image[v]) for u, v in pedges):
+            return True
+    return False
+
+
+def canonical_graph(g):
+    """g relabelled into its canonical order."""
+    return g.relabel(graphs.canonical_permutation(g))
+
+
+def min_perron_entry(result):
+    return float(result.vector.min())
+
+
+def eigen_equation_residual(g, result, u):
+    """|(q - d(u)) x_u - sum_{j ~ u} x_j| for the reported eigenpair."""
+    x = result.vector
+    s = sum(x[j] for j in g.neighbors(u))
+    return abs((result.value - g.degree(u)) * x[u] - s)
+
+
 @pytest.fixture(scope="session")
 def four_vertex_classes():
     return classes_naive(all_labeled_graphs(4))

@@ -135,6 +135,14 @@ class TestExtremal:
         assert code == 2
         assert "error: n=13 exceeds the cap of 12" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_usage_error(self, capsys, n):
+        code, _, err = run(
+            capsys, "extremal", "--pattern", "K3", "--n", n, "--no-cache"
+        )
+        assert code == 2
+        assert f"error: n={n} is below 1" in err
+
 
 class TestVerify:
     def test_bound_chain_passes(self, capsys):
@@ -175,6 +183,22 @@ class TestVerify:
         )
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "t, n_max, message",
+        [
+            ("0", "3", "star theorem needs t >= 2, got t=0"),
+            ("5", "3", "star theorem needs some n >= t=5"),
+        ],
+    )
+    def test_star_bad_range_usage_error(self, capsys, t, n_max, message):
+        code, out, err = run(
+            capsys,
+            "verify", "--check", "star", "--t", t, "--n-max", n_max, "--no-cache",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
 
     def test_monotone_missing_pattern(self, capsys):
         with pytest.raises(SystemExit) as exc:

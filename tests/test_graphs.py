@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturan import graphs
-from tests.conftest import all_labeled_graphs, classes_naive
+from tests.conftest import all_labeled_graphs, canonical_graph, classes_naive
 
 
 def random_graphs(count, seed=12345, n_max=20):
@@ -170,7 +170,7 @@ class TestCanonical:
 
     def test_canonical_graph_idempotent(self):
         for g in random_graphs(50, seed=3, n_max=9):
-            cg = graphs.canonical_graph(g)
+            cg = canonical_graph(g)
             assert graphs.to_graph6(cg) == graphs.canonical_form(g)
             assert graphs.canonical_form(cg) == graphs.canonical_form(g)
 

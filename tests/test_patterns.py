@@ -8,12 +8,11 @@ from qturan.patterns import (
     ForbiddenPattern,
     chromatic_number,
     contains_subgraph,
-    contains_subgraph_naive,
     is_free,
     pattern_by_name,
     parse_pattern,
 )
-from tests.conftest import all_labeled_graphs, classes_naive
+from tests.conftest import all_labeled_graphs, classes_naive, contains_subgraph_naive
 
 
 class TestContainment:

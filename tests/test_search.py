@@ -17,7 +17,12 @@ from qturan.search import (
     equivalence_check,
     extremal,
 )
-from tests.conftest import all_labeled_graphs, classes_naive, isomorphic_naive
+from tests.conftest import (
+    all_labeled_graphs,
+    canonical_graph,
+    classes_naive,
+    isomorphic_naive,
+)
 
 
 class TestEnumeration:
@@ -78,7 +83,7 @@ class TestEnumeration:
             for g, s in zip(reps, forms):
                 assert graphs.canonical_form(g) == s
                 graphs.Graph(g.n, g.adj)  # raises GraphError on invalid rows
-                assert graphs.canonical_graph(g).adj == g.adj
+                assert canonical_graph(g).adj == g.adj
 
     def test_all_representatives_are_free(self):
         from qturan.patterns import is_free
@@ -99,6 +104,8 @@ class TestEnumeration:
     def test_cap_errors(self):
         with pytest.raises(SearchError):
             enumerate_free(13)
+        with pytest.raises(SearchError):
+            enumerate_free(0)
         with pytest.raises(SearchError):
             enumerate_free(4, config=SearchConfig(mode="bogus"))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qturan import graphs, spectra
+from tests.conftest import eigen_equation_residual, min_perron_entry
 
 
 def seeded_graphs(per_n, n_values, seed=4242, p=0.5):
@@ -51,19 +52,19 @@ class TestSpectralResult:
         for g in seeded_graphs(3, range(2, 9), seed=12):
             r = spectra.spectral_radius(g, "q", tol=1e-10)
             for u in range(g.n):
-                assert spectra.eigen_equation_residual(g, r, u) <= 1e-9
+                assert eigen_equation_residual(g, r, u) <= 1e-9
 
     def test_k2_eigen_terms(self):
         g = graphs.complete(2)
         r = spectra.spectral_radius(g, "q")
         # (q - d(0)) x_0 = (2 - 1)/sqrt(2)
         assert (r.value - 1) * r.vector[0] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert spectra.eigen_equation_residual(g, r, 0) <= 1e-10
+        assert eigen_equation_residual(g, r, 0) <= 1e-10
 
     def test_c4_uniform_vector(self):
         r = spectra.spectral_radius(graphs.cycle(4), "q")
         assert np.allclose(r.vector, 0.5, atol=1e-9)
-        assert spectra.eigen_equation_residual(graphs.cycle(4), r, 1) <= 1e-9
+        assert eigen_equation_residual(graphs.cycle(4), r, 1) <= 1e-9
 
     def test_bad_tol(self):
         with pytest.raises(spectra.SpectralError):
@@ -106,13 +107,13 @@ class TestRayleigh:
 class TestMinPerron:
     def test_regular_uniform(self):
         r = spectra.spectral_radius(graphs.complete_bipartite(3, 3), "q")
-        assert spectra.min_perron_entry(r) ** 2 == pytest.approx(1 / 6, abs=1e-9)
+        assert min_perron_entry(r) ** 2 == pytest.approx(1 / 6, abs=1e-9)
 
     def test_disconnected_zero(self):
         g = graphs.disjoint_union([graphs.empty(1), graphs.complete(2)])
         r = spectra.spectral_radius(g, "q")
         assert r.value == pytest.approx(2.0, abs=1e-9)
-        assert spectra.min_perron_entry(r) == 0.0
+        assert min_perron_entry(r) == 0.0
 
     def test_star_leaf_below_center(self):
         r = spectra.spectral_radius(graphs.star(4), "q", tol=1e-12)
@@ -123,7 +124,7 @@ class TestMinPerron:
         mat = spectra.matrix_of(graphs.star(4), "q")
         vals, vecs = np.linalg.eigh(mat)
         oracle = np.abs(vecs[:, -1])
-        assert spectra.min_perron_entry(r) == pytest.approx(oracle.min(), abs=1e-8)
+        assert min_perron_entry(r) == pytest.approx(oracle.min(), abs=1e-8)
 
 
 class TestProperties:

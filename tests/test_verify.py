@@ -9,6 +9,7 @@ from qturan.search import BudgetExceededError, SearchConfig
 from qturan.verify import (
     CheckReport,
     ROW_FIELDS,
+    VerifyError,
     check_bound_chain,
     check_lemma22,
     check_monotone_sequence,
@@ -117,10 +118,12 @@ class TestStarTheorem:
         assert rep.passed is True
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VerifyError):
             check_star_theorem(1, [2])
-        with pytest.raises(ValueError):
+        with pytest.raises(VerifyError):
             check_star_theorem(4, [3])
+        with pytest.raises(VerifyError):
+            check_star_theorem(5, range(5, 4))
 
 
 class TestConvergenceTable:
