@@ -29,13 +29,6 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _resolve_pattern(args) -> patterns.ForbiddenPattern:
-    if args.pattern_g6:
-        g = graphs.from_graph6(args.pattern_g6)
-        return patterns.ForbiddenPattern.from_graph(g)
-    return patterns.parse_pattern(args.pattern)
-
-
 def _search_config(args) -> search.SearchConfig:
     cache_dir = None
     if not args.no_cache:
@@ -106,7 +99,7 @@ def emit_reports(reports, fmt: str) -> str:
 
 def _cmd_spectrum(args) -> int:
     g = patterns.parse_pattern(args.graph).graph
-    res = spectra.spectral_radius(g, args.kind, args.tol)
+    res = spectra.spectral_radius(g, args.kind)
     print(f"value {_fmt(res.value)}")
     print("vector " + " ".join(_fmt(v) for v in res.vector))
     print(f"residual {_fmt(res.residual)}")
@@ -116,7 +109,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    f = _resolve_pattern(args)
+    f = patterns.parse_pattern(args.pattern)
     config = _search_config(args)
     record = search.extremal(args.n, f, args.measure, config)
     sys.stdout.write(emit_record(record, args.format))
@@ -124,7 +117,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    f = _resolve_pattern(args)
+    f = patterns.parse_pattern(args.pattern)
     config = _search_config(args)
     result = verify.convergence_table(f, args.n_max, config)
     if args.format == "json":
@@ -146,7 +139,7 @@ def _cmd_verify(args) -> int:
     elif args.check == "bound_chain":
         reports = verify.sweep_graphs(args.check, args.n_max, config=config)
     elif args.check == "monotone":
-        f = _resolve_pattern(args)
+        f = patterns.parse_pattern(args.pattern)
         reports = [verify.check_monotone_sequence(f, args.n_max, config)]
     else:
         reports = [
@@ -166,9 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--pattern", help="pattern name (K3, C5, ...) or graph6 string")
-        p.add_argument("--pattern-g6", help="pattern as a graph6 string")
+    def add_common(p, pattern_required=True):
+        p.add_argument(
+            "--pattern",
+            required=pattern_required,
+            help="pattern name (K3, C5, ...) or graph6 string",
+        )
         p.add_argument("--workers", type=int, default=1, help="has no effect")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
@@ -177,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="spectral radius of one graph")
     p.add_argument("--graph", required=True, help="graph name or graph6 string")
     p.add_argument("--kind", default="q", choices=["q", "adjacency", "lambda", "a"])
-    p.add_argument("--tol", type=float, default=spectra.DEFAULT_TOL)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("extremal", help="ex(n,F) for one measure")
@@ -191,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify", help="run a mechanical checker")
-    add_common(p)
+    add_common(p, pattern_required=False)
     p.add_argument(
         "--check",
         required=True,
@@ -213,13 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "pattern", None) is None and hasattr(args, "pattern"):
-        if not getattr(args, "pattern_g6", None) and args.command != "verify":
-            ap.error("--pattern or --pattern-g6 is required")
-        if args.command == "verify" and args.check == "monotone" and not (
-            args.pattern or args.pattern_g6
-        ):
-            ap.error("--check monotone needs --pattern")
+    if args.command == "verify" and args.check == "monotone" and not args.pattern:
+        ap.error("--check monotone needs --pattern")
     try:
         return args.func(args)
     except search.BudgetExceededError as exc:

@@ -54,6 +54,8 @@ MAXIMAL_ONLY = "maximal"
 # maximal mode enumerates every class before it filters, so one cap serves both
 HARD_CAP = 12
 
+# two values within VALUE_TOL are equal: the witness window of extremal,
+# equivalence_check and verify's star check all decide by it
 VALUE_TOL = 1e-9
 
 # hashed into every cache key; bump it when a record's format or the
@@ -323,7 +325,7 @@ def extremal(
     config: Optional[SearchConfig] = None,
 ) -> ExtremalRecord:
     """Exact maximum of the measure over n-vertex F-free graphs, with
-    all witnesses attaining it (within 1e-9) as sorted canonical graph6."""
+    all witnesses attaining it (within VALUE_TOL) as sorted canonical graph6."""
     config = config or SearchConfig()
     if measure not in MEASURES:
         raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")

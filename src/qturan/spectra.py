@@ -9,7 +9,8 @@ one adjacency matrix: the largest value wins, an exact tie goes to the
 component with the smaller canonical form, and the Perron vector is zero
 off the winner.
 
-The iteration is ``_kernels.power_iteration``.  It sums the Rayleigh
+The iteration is ``_kernels.power_iteration``, which stops once the
+residual ||Mx - theta x|| is at most ``TOL``.  It sums the Rayleigh
 quotient and the residual in Python loops over Python floats, left to
 right; that fixed order pins the last bits of the reported value and
 vector, and so of CLI output such as the checkers' slacks, the
@@ -40,7 +41,7 @@ _KIND_ALIASES = {
     "signless_laplacian": SIGNLESS_LAPLACIAN,
 }
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 
 
 class SpectralError(ValueError):
@@ -72,7 +73,7 @@ def matrix_of(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> np.ndarray:
     return _with_degrees(g.adjacency_matrix(), normalize_kind(kind))
 
 
-def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
+def _radius_of_matrix(adj: np.ndarray, kind: str):
     """Dominant eigenpair of A or D+A for one (assumed connected) block."""
     n = adj.shape[0]
     if n == 1:
@@ -83,7 +84,7 @@ def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
     x0 = degrees + 1.0
     max_iter = max(100, int(100 * n * math.log(n + 1)))
     shifted = mat if kind == SIGNLESS_LAPLACIAN else mat + shift * np.eye(n)
-    value, vec, resid, iters, ok = power_iteration(shifted, x0, tol, max_iter)
+    value, vec, resid, iters, ok = power_iteration(shifted, x0, TOL, max_iter)
     if ok:
         return float(value) - shift, vec, float(resid), int(iters), "power"
     vals, vecs = np.linalg.eigh(mat)
@@ -94,9 +95,7 @@ def _radius_of_matrix(adj: np.ndarray, kind: str, tol: float):
     return value, vec, resid, int(iters), "dense"
 
 
-def spectral_radius(
-    g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN, tol: float = DEFAULT_TOL
-) -> SpectralResult:
+def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> SpectralResult:
     """Largest eigenvalue of A(G) or Q(G) with a unit nonnegative eigenvector.
 
     Each component is solved on its own block of the matrix.  The largest
@@ -104,8 +103,6 @@ def spectral_radius(
     form wins, and only then are components labelled.  The vector is zero
     off the winning component.
     """
-    if tol <= 0:
-        raise SpectralError("tol must be positive")
     kind = normalize_kind(kind)
     a = g.adjacency_matrix()
     comps = g.components()
@@ -113,7 +110,7 @@ def spectral_radius(
     for comp in comps:
         idx = [v for v in range(g.n) if (comp >> v) & 1]
         block = a if len(comps) == 1 else a[np.ix_(idx, idx)]
-        entry = (_radius_of_matrix(block, kind, tol), comp, idx)
+        entry = (_radius_of_matrix(block, kind), comp, idx)
         if best is None or entry[0][0] > best[0][0]:
             best, best_form = entry, None
         elif entry[0][0] == best[0][0]:
@@ -137,12 +134,12 @@ def spectral_radius(
     )
 
 
-def q_radius(g: graphs.Graph, tol: float = DEFAULT_TOL) -> float:
-    return spectral_radius(g, SIGNLESS_LAPLACIAN, tol).value
+def q_radius(g: graphs.Graph) -> float:
+    return spectral_radius(g, SIGNLESS_LAPLACIAN).value
 
 
-def lambda_radius(g: graphs.Graph, tol: float = DEFAULT_TOL) -> float:
-    return spectral_radius(g, ADJACENCY, tol).value
+def lambda_radius(g: graphs.Graph) -> float:
+    return spectral_radius(g, ADJACENCY).value
 
 
 def dense_q_value(g: graphs.Graph) -> float:

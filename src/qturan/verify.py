@@ -4,6 +4,13 @@ plus convergence tables toward the edge and q-spectral Turan densities.
 Each checker returns a CheckReport; ``passed`` is None when a hypothesis
 fails (disconnected input, zero minimum Perron entry, chi(F) < 3) so gaps
 are surfaced rather than silently counted as passes.
+
+An inequality passes when it loses at most ``CHECK_TOL`` (its slack is at
+least -CHECK_TOL), and every such report carries that value in ``tol``.
+The star theorem asks for equality, so it uses ``search.VALUE_TOL``, the
+window that also decides which graphs are extremal witnesses.  Spectral
+radii come from ``spectra``, whose power iteration stops at
+``spectra.TOL``.  A range with nothing to check raises ``VerifyError``.
 """
 
 from __future__ import annotations
@@ -19,9 +26,7 @@ from .graphs import Graph
 from .patterns import ForbiddenPattern
 from .search import SearchConfig
 
-DEFAULT_CHECK_TOL = 1e-8
-EIGEN_TOL = 1e-10
-EXACT_TOL = 1e-9
+CHECK_TOL = 1e-8
 
 
 class VerifyError(ValueError):
@@ -48,47 +53,54 @@ class CheckReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _not_applicable(check_id: str, subject: str, tol: float) -> CheckReport:
-    return CheckReport(check_id, subject, math.nan, math.nan, math.nan, None, tol)
+def _not_applicable(check_id: str, subject: str) -> CheckReport:
+    return CheckReport(
+        check_id, subject, math.nan, math.nan, math.nan, None, CHECK_TOL
+    )
 
 
-def check_vertex_deletion(h: Graph, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
+def _report(check_id, subject, lhs, rhs, slack) -> CheckReport:
+    """Passes iff the inequality loses at most CHECK_TOL: slack >= -CHECK_TOL."""
+    return CheckReport(
+        check_id, subject, lhs, rhs, slack, slack >= -CHECK_TOL, CHECK_TOL
+    )
+
+
+def check_vertex_deletion(h: Graph) -> CheckReport:
     """q(H-u) >= q(H)(1-2mu^2)/(1-mu^2) - (1-n mu^2)/(1-mu^2) for a vertex u
     of minimum Perron entry mu.  Needs H connected with n >= 2."""
     subject = graphs.to_graph6(h)
     if h.n < 2 or not h.is_connected():
-        return _not_applicable("vertex_deletion", subject, tol)
-    res = spectra.spectral_radius(h, "q", EIGEN_TOL)
+        return _not_applicable("vertex_deletion", subject)
+    res = spectra.spectral_radius(h, "q")
     mu2 = float(res.vector.min()) ** 2
     u = int(np.argmin(res.vector))
     bound = res.value * (1 - 2 * mu2) / (1 - mu2) - (1 - h.n * mu2) / (1 - mu2)
-    lhs = spectra.spectral_radius(h.delete_vertex(u), "q", EIGEN_TOL).value
-    slack = lhs - bound
-    return CheckReport("vertex_deletion", subject, lhs, bound, slack, slack >= -tol, tol)
+    lhs = spectra.spectral_radius(h.delete_vertex(u), "q").value
+    return _report("vertex_deletion", subject, lhs, bound, lhs - bound)
 
 
-def check_lemma22(g: Graph, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
+def check_lemma22(g: Graph) -> CheckReport:
     """q(G) <= delta + sqrt(delta^2 + (1/(n mu^2) - 1) n delta) when mu > 0."""
     subject = graphs.to_graph6(g)
-    res = spectra.spectral_radius(g, "q", EIGEN_TOL)
+    res = spectra.spectral_radius(g, "q")
     mu = float(res.vector.min())
     if mu <= 1e-9:
-        return _not_applicable("lemma22", subject, tol)
+        return _not_applicable("lemma22", subject)
     delta = g.min_degree()
     n = g.n
     bound = delta + math.sqrt(delta**2 + (1.0 / (n * mu * mu) - 1.0) * n * delta)
-    slack = bound - res.value
-    return CheckReport("lemma22", subject, res.value, bound, slack, slack >= -tol, tol)
+    return _report("lemma22", subject, res.value, bound, bound - res.value)
 
 
-def check_bound_chain(g: Graph, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
+def check_bound_chain(g: Graph) -> CheckReport:
     """4e/n <= 2 lambda <= q <= min(2e/(n-1) + n - 2, max edge-degree)."""
     subject = graphs.to_graph6(g)
     if g.n < 2:
-        return _not_applicable("bound_chain", subject, tol)
+        return _not_applicable("bound_chain", subject)
     e = g.edge_count()
-    lam = spectra.spectral_radius(g, "adjacency", EIGEN_TOL).value
-    q = spectra.spectral_radius(g, "q", EIGEN_TOL).value
+    lam = spectra.spectral_radius(g, "adjacency").value
+    q = spectra.spectral_radius(g, "q").value
     feng_yu = 2 * e / (g.n - 1) + g.n - 2
     degs = [g.degree(v) for v in range(g.n)]
     edge_deg = max((degs[u] + degs[v] for u, v in g.edges()), default=0)
@@ -99,30 +111,26 @@ def check_bound_chain(g: Graph, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
         (upper, q),
     ]
     upper_v, lower_v = min(links, key=lambda ab: ab[0] - ab[1])
-    slack = upper_v - lower_v
-    return CheckReport(
-        "bound_chain", subject, lower_v, upper_v, slack, slack >= -tol, tol
-    )
+    return _report("bound_chain", subject, lower_v, upper_v, upper_v - lower_v)
 
 
 def check_monotone_sequence(
-    f: ForbiddenPattern,
-    n_max: int,
-    config: Optional[SearchConfig] = None,
-    tol: float = EXACT_TOL,
+    f: ForbiddenPattern, n_max: int, config: Optional[SearchConfig] = None
 ) -> CheckReport:
     """The sequence ex_q(n,F)/(n-1) is nonincreasing for chi(F) >= 3, and
     each consecutive pair satisfies the sharper instance inequality driven
     by the minimum Perron entry of the q-extremal witness."""
+    if n_max < 3:
+        raise VerifyError(f"monotone sequence needs n_max >= 3, got n_max={n_max}")
     subject = f"{f.label()}, n=2..{n_max}"
     if f.chi < 3:
-        return _not_applicable("monotone_sequence", subject, tol)
+        return _not_applicable("monotone_sequence", subject)
     config = config or SearchConfig()
     records = {n: search.extremal(n, f, "q", config) for n in range(2, n_max + 1)}
     mus = {}
     for n, rec in records.items():
         witness = graphs.from_graph6(rec.witnesses[0])
-        mus[n] = float(spectra.spectral_radius(witness, "q", EIGEN_TOL).vector.min())
+        mus[n] = float(spectra.spectral_radius(witness, "q").vector.min())
     worst = math.inf
     lhs = rhs = math.nan
     for n in range(3, n_max + 1):
@@ -135,15 +143,11 @@ def check_monotone_sequence(
             if slack < worst:
                 worst = slack
                 lhs, rhs = prev_ratio, bound
-    ok = worst >= -max(tol, DEFAULT_CHECK_TOL)
-    return CheckReport("monotone_sequence", subject, lhs, rhs, worst, ok, tol)
+    return _report("monotone_sequence", subject, lhs, rhs, worst)
 
 
 def check_star_theorem(
-    t: int,
-    n_range,
-    config: Optional[SearchConfig] = None,
-    tol: float = EXACT_TOL,
+    t: int, n_range, config: Optional[SearchConfig] = None
 ) -> CheckReport:
     """Brute-force ex_q(n, K_{1,t}) equals 2(t-1) with a disjoint union of
     K_t's (plus isolated vertices) among the witnesses."""
@@ -161,14 +165,15 @@ def check_star_theorem(
         if n < t:
             raise VerifyError(f"need n >= t, got n={n}, t={t}")
         rec = search.extremal(n, f, "q", config)
-        worst = min(worst, tol - abs(rec.value - expected))
+        worst = min(worst, search.VALUE_TOL - abs(rec.value - expected))
         copies = n // t
         parts = [graphs.complete(t)] * copies + [graphs.empty(1)] * (n - copies * t)
         union_canon = graphs.canonical_form(graphs.disjoint_union(parts))
         if union_canon not in rec.witnesses:
             worst = -math.inf
     return CheckReport(
-        "star_theorem", subject, expected, expected, worst, worst >= 0, tol
+        "star_theorem", subject, expected, expected, worst, worst >= 0,
+        search.VALUE_TOL,
     )
 
 
@@ -185,10 +190,11 @@ def sweep_graphs(
     check_id: str,
     n_max: int,
     connected_only: bool = False,
-    tol: float = DEFAULT_CHECK_TOL,
     config: Optional[SearchConfig] = None,
 ):
     """Run one per-graph checker over every isomorphism class with n <= n_max."""
+    if n_max < 1:
+        raise VerifyError(f"sweep needs n_max >= 1, got n_max={n_max}")
     check = _CHECKS[check_id]
     config = config or SearchConfig()
     reports = []
@@ -196,25 +202,18 @@ def sweep_graphs(
         for g in search.enumerate_free(n, None, config):
             if connected_only and not g.is_connected():
                 continue
-            reports.append(check(g, tol))
+            reports.append(check(g))
     return reports
 
 
-def sweep_random(
-    check_id: str,
-    n_values,
-    per_n: int = 500,
-    p: float = 0.5,
-    seed: int = 20240817,
-    tol: float = DEFAULT_CHECK_TOL,
-):
-    """Seeded random-graph sweep for a per-graph checker."""
+def sweep_random(check_id: str, n_values, per_n: int = 500):
+    """A per-graph checker on per_n G(n, 1/2) graphs for each n, seeded."""
     check = _CHECKS[check_id]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240817)
     reports = []
     for n in n_values:
         for _ in range(per_n):
-            reports.append(check(graphs.random_graph(n, p, rng), tol))
+            reports.append(check(graphs.random_graph(n, 0.5, rng)))
     return reports
 
 
@@ -269,6 +268,8 @@ def convergence_table(
     """Per-n extremal values and density ratios; on budget exhaustion the
     partial table is returned with ``partial=True``.  The n=1 row uses 0 for
     ratios whose denominator vanishes."""
+    if n_max < 1:
+        raise VerifyError(f"table needs n_max >= 1, got n_max={n_max}")
     config = config or SearchConfig()
     rows = []
     partial = False
@@ -278,7 +279,7 @@ def convergence_table(
             ex_l = search.extremal(n, f, "lambda", config).value
             rec_q = search.extremal(n, f, "q", config)
             witness = graphs.from_graph6(rec_q.witnesses[0])
-            mu = float(spectra.spectral_radius(witness, "q", EIGEN_TOL).vector.min())
+            mu = float(spectra.spectral_radius(witness, "q").vector.min())
             rows.append(
                 ConvergenceRow(
                     n=n,

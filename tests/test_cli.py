@@ -83,7 +83,7 @@ class TestExtremal:
         g6 = graphs.to_graph6(graphs.complete(3))
         code, out, _ = run(
             capsys,
-            "extremal", "--pattern-g6", g6, "--n", "5",
+            "extremal", "--pattern", g6, "--n", "5",
             "--measure", "edges", "--no-cache",
         )
         assert code == 0
@@ -153,17 +153,23 @@ class TestVerify:
         assert code == 0
         assert "failed 0" in out
 
-    def test_bound_chain_bytes_pinned(self, capsys):
+    # SHA-256 of `verify --check <check> --n-max 6` stdout
+    SWEEP_SHA256 = {
+        "bound_chain": "53f91a0de0b8e06faffe6712935f587893caebacc49a16f3ec398c9f4746bed4",
+        "vertex_deletion": "f8b9ba07de8e4dbbe339bf03e81897e6c41622d75b498c9119d996fd0035e9a3",
+        "lemma22": "d29561f4a39517152ff35f742a360b65003184d2e14fedabd48a4deaae2ececa",
+    }
+
+    @pytest.mark.parametrize("check", list(SWEEP_SHA256))
+    def test_check_bytes_pinned(self, capsys, check):
         # the slacks sit at the last bits of power iteration's sums, so
         # reordering them (e.g. x @ y for the Rayleigh quotient) shows here
         # even where the K4 table's 12 digits do not move
         code, out, _ = run(
-            capsys, "verify", "--check", "bound_chain", "--n-max", "6", "--no-cache"
+            capsys, "verify", "--check", check, "--n-max", "6", "--no-cache"
         )
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "53f91a0de0b8e06faffe6712935f587893caebacc49a16f3ec398c9f4746bed4"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_SHA256[check]
 
     def test_monotone_json(self, capsys):
         code, out, _ = run(
@@ -175,6 +181,8 @@ class TestVerify:
         reports = json.loads(out)
         assert reports[0]["check_id"] == "monotone_sequence"
         assert reports[0]["passed"] is True
+        # the reported tolerance is the one the pass gate applies
+        assert reports[0]["tol"] == 1e-8
 
     def test_star_check(self, capsys):
         code, out, _ = run(
@@ -185,20 +193,44 @@ class TestVerify:
         assert "PASS" in out
 
     @pytest.mark.parametrize(
-        "t, n_max, message",
+        "argv, message",
         [
-            ("0", "3", "star theorem needs t >= 2, got t=0"),
-            ("5", "3", "star theorem needs some n >= t=5"),
+            (
+                "verify --check star --t 0 --n-max 3",
+                "star theorem needs t >= 2, got t=0",
+            ),
+            (
+                "verify --check star --t 5 --n-max 3",
+                "star theorem needs some n >= t=5",
+            ),
+            ("table --pattern K4 --n-max 0", "table needs n_max >= 1, got n_max=0"),
+            ("verify --check bound_chain --n-max 0", "sweep needs n_max >= 1"),
+            ("verify --check vertex_deletion --n-max 0", "sweep needs n_max >= 1"),
+            ("verify --check lemma22 --n-max -1", "sweep needs n_max >= 1"),
+            (
+                "verify --check monotone --pattern K4 --n-max 2",
+                "monotone sequence needs n_max >= 3, got n_max=2",
+            ),
         ],
     )
-    def test_star_bad_range_usage_error(self, capsys, t, n_max, message):
-        code, out, err = run(
-            capsys,
-            "verify", "--check", "star", "--t", t, "--n-max", n_max, "--no-cache",
-        )
+    def test_bad_range_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split(), "--no-cache")
         assert code == 2
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --graph K4 --tol 1e-9",
+            "extremal --pattern-g6 Bw --n 4 --no-cache",
+            "table --pattern K3 --pattern-g6 Bw --n-max 3 --no-cache",
+        ],
+    )
+    def test_retired_options_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv.split())
+        assert exc.value.code == 2
 
     def test_monotone_missing_pattern(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturan import graphs
-from tests.conftest import all_labeled_graphs, canonical_graph, classes_naive
+from tests.conftest import all_labeled_graphs, canonical_graph
 
 
 def random_graphs(count, seed=12345, n_max=20):

@@ -8,7 +8,6 @@ import pytest
 from qturan import graphs, patterns, search
 from qturan.patterns import pattern_by_name
 from qturan.search import (
-    ALL_GRAPHS,
     MAXIMAL_ONLY,
     BudgetExceededError,
     SearchConfig,

@@ -1,13 +1,9 @@
-import math
-
-import numpy as np
 import pytest
 
-from qturan import graphs, spectra, verify
-from qturan.patterns import ForbiddenPattern, pattern_by_name
-from qturan.search import BudgetExceededError, SearchConfig
+from qturan import graphs, verify
+from qturan.patterns import pattern_by_name
+from qturan.search import SearchConfig
 from qturan.verify import (
-    CheckReport,
     ROW_FIELDS,
     VerifyError,
     check_bound_chain,
