@@ -171,6 +171,25 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_SHA256[check]
 
+    # SHA-256 of the stdout of the two checks that solve extremal problems
+    SEARCH_CHECK_SHA256 = {
+        "verify --check star --t 3 --n-max 7": (
+            "57aae567ed763e29491b55e291855008b823ae03c1a5cf738c41129928e62dee"
+        ),
+        "verify --check monotone --pattern K4 --n-max 7": (
+            "59532c4292f631e567fd7d57a906a6f0c3059f5cd89d7525c0081608d2694f47"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(SEARCH_CHECK_SHA256))
+    def test_search_check_bytes_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split(), "--no-cache")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == self.SEARCH_CHECK_SHA256[argv]
+        )
+
     def test_monotone_json(self, capsys):
         code, out, _ = run(
             capsys,
