@@ -98,7 +98,7 @@ def emit_reports(reports, fmt: str) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    g = patterns.parse_pattern(args.graph).graph
+    g = patterns.parse_graph(args.graph)
     res = spectra.spectral_radius(g, args.kind)
     print(f"value {_fmt(res.value)}")
     print("vector " + " ".join(_fmt(v) for v in res.vector))
@@ -132,19 +132,13 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _search_config(args)
-    if args.check in ("vertex_deletion", "lemma22"):
-        reports = verify.sweep_graphs(
-            args.check, args.n_max, connected_only=True, config=config
-        )
-    elif args.check == "bound_chain":
-        reports = verify.sweep_graphs(args.check, args.n_max, config=config)
-    elif args.check == "monotone":
+    if args.check == "monotone":
         f = patterns.parse_pattern(args.pattern)
         reports = [verify.check_monotone_sequence(f, args.n_max, config)]
+    elif args.check == "star":
+        reports = [verify.check_star_theorem(args.t, args.n_max, config)]
     else:
-        reports = [
-            verify.check_star_theorem(args.t, range(args.t, args.n_max + 1), config)
-        ]
+        reports = verify.sweep_graphs(args.check, args.n_max, config)
     sys.stdout.write(emit_reports(reports, args.format))
     if any(r.passed is False for r in reports):
         return EXIT_CHECK_FAILED
@@ -165,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
             required=pattern_required,
             help="pattern name (K3, C5, ...) or graph6 string",
         )
-        p.add_argument("--workers", type=int, default=1, help="has no effect")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--budget", type=int, default=10**8)
@@ -190,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=["vertex_deletion", "lemma22", "bound_chain", "monotone", "star"],
+        choices=[*verify.GRAPH_CHECKS, "monotone", "star"],
     )
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
     p.add_argument("--t", type=int, default=3, help="star leaf count for --check star")
@@ -200,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="convergence table toward the densities")
     add_common(p)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p.add_argument("--workers", type=int, default=1, help="has no effect")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_table)
     return ap

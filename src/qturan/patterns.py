@@ -234,14 +234,20 @@ def pattern_by_name(name: str) -> ForbiddenPattern:
     return ForbiddenPattern.from_graph(_REGISTRY[name](), name=name)
 
 
-def parse_pattern(spec: str) -> ForbiddenPattern:
-    """Pattern from a registry name, or from a graph6 string otherwise."""
+def parse_graph(spec: str) -> Graph:
+    """Graph from a registry name, or from a graph6 string otherwise."""
     if spec in _REGISTRY:
-        return pattern_by_name(spec)
+        return _REGISTRY[spec]()
     try:
-        g = graphs.from_graph6(spec)
+        return graphs.from_graph6(spec)
     except graphs.Graph6Error as exc:
         raise UnknownPatternError(
             f"{spec!r} is neither a registry name nor valid graph6: {exc}"
         ) from None
-    return ForbiddenPattern.from_graph(g)
+
+
+def parse_pattern(spec: str) -> ForbiddenPattern:
+    """Pattern from a registry name, or from a graph6 string otherwise."""
+    if spec in _REGISTRY:
+        return pattern_by_name(spec)
+    return ForbiddenPattern.from_graph(parse_graph(spec))

@@ -152,13 +152,14 @@ def dense_lambda_value(g: graphs.Graph) -> float:
 
 
 def rayleigh_q(g: graphs.Graph, x) -> float:
-    """x^T Q(G) x for a unit vector x, via the edge sum of (x_i + x_j)^2."""
+    """x^T Q(G) x / x^T x for nonzero x, via the edge sum of (x_i + x_j)^2."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise SpectralError(f"vector length {x.shape} does not match n={g.n}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise SpectralError("rayleigh_q needs a unit vector")
+    norm_sq = float(x @ x)
+    if norm_sq == 0.0:
+        raise SpectralError("rayleigh_q needs a nonzero vector")
     total = 0.0
     for u, v in g.edges():
         total += (x[u] + x[v]) ** 2
-    return total
+    return total / norm_sq

@@ -2,8 +2,10 @@
 plus convergence tables toward the edge and q-spectral Turan densities.
 
 Each checker returns a CheckReport; ``passed`` is None when a hypothesis
-fails (disconnected input, zero minimum Perron entry, chi(F) < 3) so gaps
-are surfaced rather than silently counted as passes.
+fails (disconnected input, chi(F) < 3) so gaps are surfaced rather than
+silently counted as passes.  ``GRAPH_CHECKS`` names the per-graph checkers;
+a sweep over all classes gives those that need a connected graph only the
+connected ones.  The star check covers every n from t to its ``n_max``.
 
 An inequality passes when it loses at most ``CHECK_TOL`` (its slack is at
 least -CHECK_TOL), and every such report carries that value in ``tol``.
@@ -81,12 +83,13 @@ def check_vertex_deletion(h: Graph) -> CheckReport:
 
 
 def check_lemma22(g: Graph) -> CheckReport:
-    """q(G) <= delta + sqrt(delta^2 + (1/(n mu^2) - 1) n delta) when mu > 0."""
+    """q(G) <= delta + sqrt(delta^2 + (1/(n mu^2) - 1) n delta), where mu is
+    the minimum Perron entry.  Needs G connected, so that mu > 0."""
     subject = graphs.to_graph6(g)
+    if not g.is_connected():
+        return _not_applicable("lemma22", subject)
     res = spectra.spectral_radius(g, "q")
     mu = float(res.vector.min())
-    if mu <= 1e-9:
-        return _not_applicable("lemma22", subject)
     delta = g.min_degree()
     n = g.n
     bound = delta + math.sqrt(delta**2 + (1.0 / (n * mu * mu) - 1.0) * n * delta)
@@ -127,16 +130,13 @@ def check_monotone_sequence(
         return _not_applicable("monotone_sequence", subject)
     config = config or SearchConfig()
     records = {n: search.extremal(n, f, "q", config) for n in range(2, n_max + 1)}
-    mus = {}
-    for n, rec in records.items():
-        witness = graphs.from_graph6(rec.witnesses[0])
-        mus[n] = float(spectra.spectral_radius(witness, "q").vector.min())
     worst = math.inf
     lhs = rhs = math.nan
     for n in range(3, n_max + 1):
         prev_ratio = records[n - 1].value / (n - 2)
         ratio = records[n].value / (n - 1)
-        mu2 = mus[n] ** 2
+        witness = graphs.from_graph6(records[n].witnesses[0])
+        mu2 = float(spectra.spectral_radius(witness, "q").vector.min()) ** 2
         c = (1 - n * mu2) / ((n - 2) * (1 - mu2))
         for bound in (ratio, ratio * (1 + c) - c):
             slack = prev_ratio - bound
@@ -147,23 +147,22 @@ def check_monotone_sequence(
 
 
 def check_star_theorem(
-    t: int, n_range, config: Optional[SearchConfig] = None
+    t: int, n_max: int, config: Optional[SearchConfig] = None
 ) -> CheckReport:
-    """Brute-force ex_q(n, K_{1,t}) equals 2(t-1) with a disjoint union of
-    K_t's (plus isolated vertices) among the witnesses."""
+    """Brute-force ex_q(n, K_{1,t}) equals 2(t-1) for every n in t..n_max,
+    with a disjoint union of K_t's (plus isolated vertices) among the
+    witnesses."""
     if t < 2:
         raise VerifyError(f"star theorem needs t >= 2, got t={t}")
+    if n_max < t:
+        raise VerifyError(f"star theorem needs some n >= t={t}")
     config = config or SearchConfig()
     f = ForbiddenPattern.from_graph(graphs.star(t), name=f"K1_{t}")
     expected = 2.0 * (t - 1)
-    n_list = list(n_range)
-    if not n_list:
-        raise VerifyError(f"star theorem needs some n >= t={t}")
-    subject = f"K1_{t}, n in {n_list}"
+    n_range = range(t, n_max + 1)
+    subject = f"K1_{t}, n in {list(n_range)}"
     worst = math.inf
-    for n in n_list:
-        if n < t:
-            raise VerifyError(f"need n >= t, got n={n}, t={t}")
+    for n in n_range:
         rec = search.extremal(n, f, "q", config)
         worst = min(worst, search.VALUE_TOL - abs(rec.value - expected))
         copies = n // t
@@ -179,28 +178,27 @@ def check_star_theorem(
 
 # -- sweeps --------------------------------------------------------------
 
+# per-graph checker and whether its hypothesis needs a connected graph
 _CHECKS = {
-    "vertex_deletion": check_vertex_deletion,
-    "lemma22": check_lemma22,
-    "bound_chain": check_bound_chain,
+    "vertex_deletion": (check_vertex_deletion, True),
+    "lemma22": (check_lemma22, True),
+    "bound_chain": (check_bound_chain, False),
 }
 
+GRAPH_CHECKS = tuple(_CHECKS)
 
-def sweep_graphs(
-    check_id: str,
-    n_max: int,
-    connected_only: bool = False,
-    config: Optional[SearchConfig] = None,
-):
-    """Run one per-graph checker over every isomorphism class with n <= n_max."""
+
+def sweep_graphs(check_id: str, n_max: int, config: Optional[SearchConfig] = None):
+    """Run one per-graph checker over every isomorphism class with n <= n_max,
+    or over the connected ones when its hypothesis needs connectivity."""
     if n_max < 1:
         raise VerifyError(f"sweep needs n_max >= 1, got n_max={n_max}")
-    check = _CHECKS[check_id]
+    check, connected = _CHECKS[check_id]
     config = config or SearchConfig()
     reports = []
     for n in range(1, n_max + 1):
         for g in search.enumerate_free(n, None, config):
-            if connected_only and not g.is_connected():
+            if connected and not g.is_connected():
                 continue
             reports.append(check(g))
     return reports
@@ -208,7 +206,7 @@ def sweep_graphs(
 
 def sweep_random(check_id: str, n_values, per_n: int = 500):
     """A per-graph checker on per_n G(n, 1/2) graphs for each n, seeded."""
-    check = _CHECKS[check_id]
+    check = _CHECKS[check_id][0]
     rng = np.random.default_rng(20240817)
     reports = []
     for n in n_values:

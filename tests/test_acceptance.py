@@ -100,7 +100,7 @@ def test_criterion_5_lemma_sweeps(acceptance_report):
     counts = {}
     ok = True
     for check in ("vertex_deletion", "lemma22"):
-        reports = verify.sweep_graphs(check, 7, connected_only=True)
+        reports = verify.sweep_graphs(check, 7)
         applicable = [r for r in reports if r.applicable]
         fails = sum(1 for r in applicable if not r.passed)
         counts[check] = (len(applicable), fails)

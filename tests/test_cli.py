@@ -1,9 +1,14 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qturan import cli, graphs
+from qturan import cli, graphs, patterns, spectra
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -37,6 +42,20 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--graph", "K99_junk")
         assert code == 2
         assert "error:" in err
+
+    def test_graph6_builds_no_pattern(self, capsys, monkeypatch):
+        # spectrum reads only the graph; a ForbiddenPattern would also
+        # colour and canonically label it, which takes seconds at n = 60
+        def refuse(g):
+            raise AssertionError("spectrum computed a chromatic number")
+
+        monkeypatch.setattr(patterns, "chromatic_number", refuse)
+        g = graphs.random_graph(60, 0.5, np.random.default_rng(60))
+        code, out, _ = run(capsys, "spectrum", "--graph", graphs.to_graph6(g))
+        assert code == 0
+        value = float(out.splitlines()[0].split()[1])
+        expected = np.linalg.eigvalsh(spectra.matrix_of(g))[-1]
+        assert value == pytest.approx(expected, abs=1e-9)
 
 
 class TestExtremal:
@@ -244,6 +263,8 @@ class TestVerify:
             "spectrum --graph K4 --tol 1e-9",
             "extremal --pattern-g6 Bw --n 4 --no-cache",
             "table --pattern K3 --pattern-g6 Bw --n-max 3 --no-cache",
+            "extremal --pattern K3 --n 4 --workers 2 --no-cache",
+            "verify --check bound_chain --n-max 3 --workers 2 --no-cache",
         ],
     )
     def test_retired_options_usage_error(self, capsys, argv):
@@ -259,7 +280,7 @@ class TestVerify:
     def test_check_failed_exit_code(self, capsys, monkeypatch):
         from qturan import verify as v
 
-        def fake_sweep(check_id, n_max, connected_only=False, config=None, **kw):
+        def fake_sweep(check_id, n_max, config=None):
             return [v.CheckReport("bound_chain", "X", 1.0, 0.0, -1.0, False, 1e-8)]
 
         monkeypatch.setattr(v, "sweep_graphs", fake_sweep)
@@ -329,3 +350,23 @@ class TestTable:
         code, _, err = run(capsys, "table", "--pattern", "Q7", "--n-max", "3")
         assert code == 2
         assert "error:" in err
+
+
+def readme_commands():
+    """The argv of every ``qturan ...`` line in the README's sh blocks."""
+    commands, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("qturan "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -97,9 +97,17 @@ class TestRayleigh:
             x /= np.linalg.norm(x)
             assert spectra.rayleigh_q(g, x) <= spectra.q_radius(g) + 1e-8
 
-    def test_non_unit_vector_rejected(self):
+    def test_zero_vector_rejected(self):
         with pytest.raises(spectra.SpectralError):
-            spectra.rayleigh_q(graphs.complete(2), np.array([1.0, 1.0]))
+            spectra.rayleigh_q(graphs.complete(2), np.zeros(2))
+
+    def test_scaling_invariant(self):
+        rng = np.random.default_rng(6)
+        for g in seeded_graphs(3, range(2, 9), seed=16):
+            x = rng.uniform(0, 1, g.n)
+            assert spectra.rayleigh_q(g, 7.5 * x) == pytest.approx(
+                spectra.rayleigh_q(g, x), rel=1e-12
+            )
 
 
 class TestMinPerron:

@@ -44,7 +44,7 @@ class TestVertexDeletion:
         assert check_vertex_deletion(graphs.empty(1)).passed is None
 
     def test_exhaustive_small(self):
-        reports = sweep_graphs("vertex_deletion", 7, connected_only=True)
+        reports = sweep_graphs("vertex_deletion", 7)
         assert reports and all(r.passed for r in reports if r.applicable)
 
 
@@ -106,20 +106,18 @@ class TestMonotone:
 class TestStarTheorem:
     def test_t2_matchings(self):
         # K_{1,2}-free graphs are matchings plus isolates: ex_q = 2 = 2(t-1)
-        rep = check_star_theorem(2, range(2, 7))
+        rep = check_star_theorem(2, 6)
         assert rep.passed is True
 
     def test_t3(self):
-        rep = check_star_theorem(3, range(3, 8))
+        rep = check_star_theorem(3, 7)
         assert rep.passed is True
 
     def test_bad_parameters(self):
         with pytest.raises(VerifyError):
-            check_star_theorem(1, [2])
+            check_star_theorem(1, 2)
         with pytest.raises(VerifyError):
-            check_star_theorem(4, [3])
-        with pytest.raises(VerifyError):
-            check_star_theorem(5, range(5, 4))
+            check_star_theorem(5, 4)
 
 
 class TestConvergenceTable:
