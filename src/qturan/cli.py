@@ -22,6 +22,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# verify options that a single check reads: option -> that check
+VERIFY_OWN_OPTIONS = {"pattern": "monotone", "t": "star"}
+DEFAULT_STAR_T = 3
+
 
 def _fmt(x) -> str:
     if isinstance(x, int):
@@ -136,7 +140,8 @@ def _cmd_verify(args) -> int:
         f = patterns.parse_pattern(args.pattern)
         reports = [verify.check_monotone_sequence(f, args.n_max, config)]
     elif args.check == "star":
-        reports = [verify.check_star_theorem(args.t, args.n_max, config)]
+        t = DEFAULT_STAR_T if args.t is None else args.t
+        reports = [verify.check_star_theorem(t, args.n_max, config)]
     else:
         reports = verify.sweep_graphs(args.check, args.n_max, config)
     sys.stdout.write(emit_reports(reports, args.format))
@@ -186,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*verify.GRAPH_CHECKS, "monotone", "star"],
     )
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
-    p.add_argument("--t", type=int, default=3, help="star leaf count for --check star")
+    p.add_argument("--t", type=int, help="star leaf count for --check star")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_verify)
 
@@ -202,8 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "verify" and args.check == "monotone" and not args.pattern:
-        ap.error("--check monotone needs --pattern")
+    if args.command == "verify":
+        if args.check == "monotone" and not args.pattern:
+            ap.error("--check monotone needs --pattern")
+        for option, check in VERIFY_OWN_OPTIONS.items():
+            if args.check != check and getattr(args, option) is not None:
+                ap.error(f"--{option} applies only to --check {check}")
     try:
         return args.func(args)
     except search.BudgetExceededError as exc:

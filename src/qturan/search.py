@@ -3,14 +3,30 @@
 Generation is by canonical augmentation: representatives on n vertices are
 obtained by attaching a new vertex to each (n-1)-vertex representative with
 every neighborhood mask, keeping a child iff deleting its deletion vertex
-reproduces the parent.  The deletion vertex is the maximum-degree vertex
-with the largest canonical position (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26 (1998)), so a mask whose new vertex would not
-have maximum degree is dropped in O(1) before any labelling: with parent
-maximum degree dmax reached on the vertex set top, the new vertex of mask M
-has maximum degree iff |M| >= dmax + [M meets top].  When the deletion
-vertex is the new vertex itself, the child minus it is the parent, so the
-child is accepted after one labelling instead of two.
+reproduces the parent (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998)).  Any isomorphism-invariant choice of deletion
+vertex is exact; as in McKay's geng, a cheap invariant decides first.  The
+deletion vertex maximises (degree, sum of neighbour degrees), and ties go
+to the largest canonical position.  The key is read off the parent's
+degrees without building the child: the new vertex of mask M gets
+(|M|, |M| + sum of d_P(i) over M), and a parent vertex i of child degree
+|M| gets (|M|, sum of d_P(j) over N_P(i) + |N_P(i) & M| + [i in M] |M|).
+A mask is dropped before any labelling if some vertex beats the new one:
+first, in O(1), on degree alone (with parent maximum degree dmax reached
+on the vertex set top, the new vertex has maximum degree iff
+|M| >= dmax + [M meets top]), then on the key.  If the new vertex is the
+unique maximum, the child is accepted after one labelling, since the
+child minus it is the parent.  On a tie the labelling names the deletion
+vertex w; if w is not the new vertex, the sorted degree sequence of
+child - w must equal the parent's before child - w is labelled and
+compared.  A child whose class was already labelled from the same parent
+is skipped, since the verdict depends only on the class.
+
+Only one mask per choice of twins is tried.  Vertices of the parent with
+equal open neighbourhoods, or equal closed ones, form disjoint classes
+that Aut(P) permutes freely, so a mask is kept only if it meets each
+class in that class's lowest vertices; every other mask gives a child
+isomorphic to a kept one, with the same verdict.
 
 Classes are keyed on canonical adjacency rows, and each representative is
 stored unvalidated on its rows, so a parent is its own canonical labelling
@@ -22,8 +38,8 @@ vertex's neighbourhood pruning of McKay's geng): once per parent P,
 embedding of F - p into P, for each anchor vertex p of F, and a mask is
 dropped iff it contains one of the inclusion-minimal forbidden sets.  This
 is exact only because every parent is F-free, so every copy of F in a
-child passes through the new vertex.  This filter runs before the degree
-filter.
+child passes through the new vertex.  This filter runs after the twin
+filter and before the degree filter.
 
 Each level is built on one thread, parent by parent, and sorted by
 canonical graph6, so its order does not depend on the deletion rule.  The
@@ -121,42 +137,105 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return graphs._unchecked(n + 1, tuple(rows))
 
 
+def _twin_classes(parent: Graph) -> tuple:
+    """Vertex tuples, in increasing order, of the classes of two or more
+    vertices of ``parent`` with equal open or equal closed neighbourhoods.
+
+    A vertex lies in at most one class: an open twin is not adjacent to its
+    twin and a closed twin is, so a vertex with both kinds of twin would
+    make its open twin adjacent to itself.  Any permutation inside one
+    class is an automorphism of ``parent``.
+    """
+    groups = {}
+    for v, row in enumerate(parent.adj):
+        groups.setdefault((row, False), []).append(v)
+        groups.setdefault((row | 1 << v, True), []).append(v)
+    return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
+
+
+def _twin_masks(parent: Graph) -> list:
+    """The masks whose intersection with each twin class of ``parent`` is
+    that class's lowest vertices; every mask is the image of one of them
+    under an automorphism that permutes twins."""
+    masks = [0]
+    rest = (1 << parent.n) - 1
+    for cls in _twin_classes(parent):
+        prefixes = [0]
+        for v in cls:
+            prefixes.append(prefixes[-1] | 1 << v)
+            rest &= ~(1 << v)
+        masks = [m | p for m in masks for p in prefixes]
+    while rest:
+        bit = rest & -rest
+        rest &= rest - 1
+        masks += [m | bit for m in masks]
+    return masks
+
+
 def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
     """Canonical rows of the accepted children, plus candidates examined.
 
-    A child is kept iff deleting its maximum-degree vertex with the largest
-    canonical position leaves canonical rows equal to ``parent.adj``, so
-    ``parent`` must be canonically labelled.  Masks that contain a
-    forbidden set, then masks whose new vertex would not have maximum
-    degree, are dropped before any child is built; ``examined`` still
-    counts every mask.
+    A child is kept iff deleting its deletion vertex leaves canonical rows
+    equal to ``parent.adj``, so ``parent`` must be canonically labelled.
+    The deletion vertex maximises (degree, sum of neighbour degrees), ties
+    going to the largest canonical position.  One mask per twin-class
+    choice is tried; masks that contain a forbidden set, then masks whose
+    new vertex some parent vertex beats on that key, are dropped before
+    any child is built.  ``examined`` still counts every mask.
     """
     n = parent.n
-    accepted = set()
+    adj = parent.adj
     examined = 1 << n
-    masks = range(examined)
+    masks = _twin_masks(parent)
     if f is not None:
         forbidden = forbidden_sets(parent, f.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
-    degrees = [row.bit_count() for row in parent.adj]
+    degrees = [row.bit_count() for row in adj]
     dmax = max(degrees)
-    top = sum(1 << v for v, d in enumerate(degrees) if d == dmax)
+    # no parent vertex has degree n, so of_degree[-1] is 0
+    of_degree = [0] * (n + 1)
+    for v, d in enumerate(degrees):
+        of_degree[d] |= 1 << v
     # the new vertex has degree |M|; the parent's maximum rises iff M meets top
+    top = of_degree[dmax]
     masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
+    nsums = [sum(degrees[j] for j in parent.neighbors(i)) for i in range(n)]
+    parent_degrees = sorted(degrees)
+    accepted = set()
+    seen = set()
     for mask in masks:
+        k = mask.bit_count()
+        # the parent vertices of child degree k: degree k outside M, k - 1 in M
+        rivals = (of_degree[k] & ~mask) | (of_degree[k - 1] & mask)
+        ties = 0
+        if rivals:
+            # sums of neighbour degrees in the child, read off the parent
+            key = k + sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+            sums = {
+                i: nsums[i] + (adj[i] & mask).bit_count() + (k if mask >> i & 1 else 0)
+                for i in range(n)
+                if rivals >> i & 1
+            }
+            if max(sums.values()) > key:
+                continue
+            ties = sum(1 << i for i, s in sums.items() if s == key)
         child = _extend(parent, mask)
         rows, perm = graphs._canonical(child.n, child.adj)
-        if rows in accepted:
+        # the verdict depends only on the class, so a class seen before is skipped
+        if rows in seen:
             continue
-        # _canonical orders vertices by non-increasing degree, so the last
-        # of the k maximum-degree vertices sits at position k - 1
-        d = mask.bit_count()
-        w = perm[sum(row.bit_count() == d for row in child.adj) - 1]
-        # child - n is the parent itself, so no second labelling is needed
-        if w == n or (
-            graphs._canonical(n, child.delete_vertex(w).adj)[0] == parent.adj
-        ):
-            accepted.add(rows)
+        seen.add(rows)
+        if ties:
+            ties |= 1 << n
+            w = next(v for v in reversed(perm) if ties >> v & 1)
+            # child - n is the parent itself, so only w != n needs a test
+            if w != n:
+                rest = child.delete_vertex(w)
+                if sorted(row.bit_count() for row in rest.adj) != parent_degrees:
+                    continue
+                if graphs._canonical(n, rest.adj)[0] != adj:
+                    continue
+        accepted.add(rows)
     return accepted, examined
 
 

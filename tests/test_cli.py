@@ -272,6 +272,30 @@ class TestVerify:
             run(capsys, *argv.split())
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            ("verify --check star --t 2 --n-max 3 --pattern NOPE", "--pattern"),
+            ("verify --check bound_chain --n-max 3 --pattern K4", "--pattern"),
+            ("verify --check monotone --pattern K4 --n-max 4 --t 3", "--t"),
+            ("verify --check lemma22 --n-max 3 --t 2", "--t"),
+        ],
+    )
+    def test_option_of_another_check_usage_error(self, capsys, argv, option):
+        # only monotone reads --pattern and only star reads --t
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv.split(), "--no-cache"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {option} applies only to --check" in captured.err
+
+    def test_star_t_defaults_to_three(self, capsys):
+        code, out, _ = run(capsys, "verify", "--check", "star", "--n-max", "7", "--no-cache")
+        assert code == 0
+        digest = self.SEARCH_CHECK_SHA256["verify --check star --t 3 --n-max 7"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_monotone_missing_pattern(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--check", "monotone", "--n-max", "5")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from dataclasses import asdict
@@ -31,6 +32,23 @@ class TestEnumeration:
         for n, count in expected.items():
             assert len(enumerate_free(n)) == count
 
+    # SHA-256 of the sorted graph6 strings at n = 8, joined by "\n", as
+    # the earlier deletion rule enumerated them; the old-rule oracle below
+    # stops at n = 7
+    N8_SHA256 = {
+        None: "51f2b95930d702ada5054f3ad801bae0e43ff9b27eadad94108a0667b4e99b58",
+        "K4": "0f7ad39efa06ac2099e815ee7f9ac9f37f140df3fca7c5d6a38ca02613416417",
+        "C5": "0c684382abbc7c6a7e426adf294efccef7a69ccf0c396bfa9fda460165a7408e",
+    }
+
+    @pytest.mark.parametrize("name", list(N8_SHA256), ids=str)
+    def test_class_sets_pinned_at_n8(self, name):
+        # the unrestricted level is still cached from the test above
+        f = None if name is None else pattern_by_name(name)
+        forms = sorted(graphs.to_graph6(g) for g in enumerate_free(8, f))
+        digest = hashlib.sha256("\n".join(forms).encode()).hexdigest()
+        assert digest == self.N8_SHA256[name]
+
     def test_triangle_free_counts(self):
         f = pattern_by_name("K3")
         expected = {
@@ -54,6 +72,23 @@ class TestEnumeration:
         monkeypatch.setattr(graphs, "_canonical", counting)
         enumerate_free(5, f)
         assert calls == []
+
+    def test_labelling_count_pinned(self, monkeypatch):
+        # the deletion key and the twin filter leave 1791 labellings for
+        # the 1252 classes with n <= 7, where the maximum-degree rule alone
+        # made 3929; a second labelling per child would show here
+        search.clear_caches()
+        calls = []
+        real = graphs._canonical
+
+        def counting(n, adj):
+            calls.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(graphs, "_canonical", counting)
+        enumerate_free(7)
+        assert len(calls) == 1791
+        search.clear_caches()
 
     def test_triangle_free_classes_match_oracle(self):
         f = pattern_by_name("K3")
@@ -175,6 +210,38 @@ class TestDeletionRule:
                 forms = [graphs.to_graph6(g) for g in enumerate_free(n, f)]
                 assert len(set(forms)) == len(forms), (f, n)
                 assert sorted(forms) == expected, (f, n)
+
+
+class TestTwinClasses:
+    def test_classes_are_disjoint_automorphism_classes(self):
+        for n in range(1, 7):
+            for parent in enumerate_free(n):
+                classes = search._twin_classes(parent)
+                members = [v for cls in classes for v in cls]
+                assert len(members) == len(set(members))
+                for cls in classes:
+                    assert len(cls) > 1 and list(cls) == sorted(cls)
+                    for u, v in itertools.combinations(cls, 2):
+                        perm = list(range(n))
+                        perm[u], perm[v] = v, u
+                        assert parent.relabel(perm).adj == parent.adj
+
+    def test_one_mask_per_twin_choice(self):
+        # every mask is a permutation of twins away from exactly one kept
+        # mask: the one meeting each class in its lowest vertices
+        for n in range(1, 7):
+            for parent in enumerate_free(n):
+                classes = search._twin_classes(parent)
+                kept = search._twin_masks(parent)
+                assert len(kept) == len(set(kept))
+                normal = set()
+                for mask in range(1 << n):
+                    for cls in classes:
+                        inside = sum(mask >> v & 1 for v in cls)
+                        for j, v in enumerate(cls):
+                            mask = mask | 1 << v if j < inside else mask & ~(1 << v)
+                    normal.add(mask)
+                assert normal == set(kept)
 
 
 def _graph6_pattern(g):
