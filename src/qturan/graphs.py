@@ -123,6 +123,8 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Return the graph with old vertex ``perm[i]`` at new position i."""
+        if sorted(perm) != list(range(self.n)):
+            raise GraphError(f"{perm!r} is not a permutation of 0..{self.n - 1}")
         return Graph(self.n, _encode(self.n, self.adj, perm))
 
     # -- structure -------------------------------------------------------
@@ -375,95 +377,144 @@ def from_graph6(s: str) -> Graph:
 # -- canonical form ------------------------------------------------------
 
 
-def _refine(n, adj, cells):
-    """Equitable refinement of an ordered partition by neighbor counts."""
-    while True:
-        masks = []
+def _refine(adj, cells, splitters):
+    """Equitable refinement of an ordered partition of vertex bitmasks.
+
+    The vertices of each cell agree on their neighbour counts in every cell
+    of a coarser partition, and ``splitters`` lists, in partition order,
+    the parts into which ``cells`` splits that partition's cells, leaving
+    out the last part of each.  Rounds are synchronous.  A round splits
+    each cell by its vertices' neighbour counts in the splitters and puts
+    the parts in its place, in increasing lexicographic order of the
+    counts, each part's vertices ascending; the new parts, the last of
+    each split left out, are the next round's splitters.  Refinement stops
+    when a round splits nothing.
+
+    Counting in every cell, as a full recount does, gives the same parts in
+    the same order.  A cell's vertices agree on their counts in each cell
+    of the coarser partition, so their counts first differ in a new part,
+    and the count in the last part of a split is the count in the old cell
+    minus the counts in the other parts.  A queue that splits by one cell
+    at a time would order the parts differently and change the canonical
+    form.
+    """
+    while splitters:
+        fresh = []
+        out = []
         for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
+            if not cell & (cell - 1):
+                out.append(cell)
                 continue
-            buckets = {}
-            for v in cell:
-                sig = tuple((adj[v] & m).bit_count() for m in masks)
-                buckets.setdefault(sig, []).append(v)
-            if len(buckets) > 1:
-                changed = True
-            for sig in sorted(buckets):
-                new_cells.append(tuple(buckets[sig]))
-        cells = new_cells
-        if not changed:
-            return tuple(cells)
-
-
-def _interchangeable(adj, u, v):
-    m = ~((1 << u) | (1 << v))
-    return (adj[u] & m) == (adj[v] & m)
+            parts = [cell]
+            for s in splitters:
+                split = []
+                if not s & (s - 1):
+                    # one vertex: non-neighbours (count 0), then neighbours
+                    row = adj[s.bit_length() - 1]
+                    for part in parts:
+                        low = part & ~row
+                        if low and low != part:
+                            split += (low, part & row)
+                        else:
+                            split.append(part)
+                    parts = split
+                    continue
+                for part in parts:
+                    if not part & (part - 1):
+                        split.append(part)
+                        continue
+                    by_count = {}
+                    m = part
+                    while m:
+                        bit = m & -m
+                        m ^= bit
+                        k = (adj[bit.bit_length() - 1] & s).bit_count()
+                        by_count[k] = by_count.get(k, 0) | bit
+                    split += [by_count[k] for k in sorted(by_count)]
+                parts = split
+            out += parts
+            fresh += parts[:-1]
+        cells = out
+        splitters = fresh
+    return cells
 
 
 def _encode(n, adj, perm):
-    pos = [0] * n
+    """Rows of the graph with old vertex ``perm[i]`` at position i."""
+    # the bit of each old vertex's new position
+    posbit = [0] * n
     for i, v in enumerate(perm):
-        pos[v] = i
-    rows = [0] * n
-    for i, v in enumerate(perm):
+        posbit[v] = 1 << i
+    rows = []
+    for v in perm:
         m = adj[v]
         row = 0
         while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            row |= 1 << pos[w]
-        rows[i] = row
+            low = m & -m
+            m ^= low
+            row |= posbit[low.bit_length() - 1]
+        rows.append(row)
     return tuple(rows)
 
 
 def _canonical(n, adj):
     """Canonical labeling: (adjacency rows of the relabeled graph, permutation).
 
-    Degree-partition refinement with backtracking over cell individualization
-    (McKay-style); branches whose chosen vertex is swappable with an already
-    tried one are skipped, which collapses cliques, cocliques and equal parts.
+    Cells are vertex bitmasks.  The root partition is the degree cells in
+    decreasing degree, refined against all of them but the last (the count
+    in the last is the degree minus the others).  The first cell of two or
+    more vertices is then individualised, one vertex v at a time in
+    ascending order: {v} goes just before the rest of the cell, and the
+    refinement starts from the single splitter {v}, which splits a cell c
+    as (c & ~adj[v], c & adj[v]).  Each leaf lists its vertices in cell
+    order, and the leaf whose relabelled rows are least wins, the first
+    such on a tie (McKay, Congr. Numer. 30 (1981)).  A vertex whose open
+    (``adj[v]``) or closed (``adj[v] | 1 << v``) neighbourhood is a key of
+    an earlier vertex of the cell is skipped: the two are twins, swapped by
+    an automorphism that fixes every other vertex, so the leaves under it
+    give the rows of leaves already seen.  An open key never equals a
+    closed one: adj[u] == adj[w] | 1 << w would put w in adj[u], so u in
+    adj[w] and in adj[u], a loop.
+
+    ``(rows, perm)`` equals that of the full recount kept as the reference
+    in ``tests/conftest.py``; ``search._children`` reads its deletion
+    vertex off ``perm``, so both must stay the same.
     """
     if n == 1:
         return (0,), (0,)
     by_deg = {}
     for v in range(n):
-        by_deg.setdefault(adj[v].bit_count(), []).append(v)
-    initial = tuple(tuple(by_deg[d]) for d in sorted(by_deg, reverse=True))
+        d = adj[v].bit_count()
+        by_deg[d] = by_deg.get(d, 0) | 1 << v
+    initial = [by_deg[d] for d in sorted(by_deg, reverse=True)]
 
     best = [None, None]
 
-    def rec(cells):
-        cells = _refine(n, adj, cells)
-        target = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
+    def rec(cells, splitters):
+        cells = _refine(adj, cells, splitters)
+        for target, cell in enumerate(cells):
+            if cell & (cell - 1):
                 break
-        if target < 0:
-            perm = tuple(c[0] for c in cells)
+        else:
+            perm = tuple(c.bit_length() - 1 for c in cells)
             enc = _encode(n, adj, perm)
             if best[0] is None or enc < best[0]:
                 best[0] = enc
                 best[1] = perm
             return
-        cell = cells[target]
-        reps = []
-        for v in cell:
-            if any(_interchangeable(adj, v, u) for u in reps):
+        keys = set()
+        m = cell
+        while m:
+            bit = m & -m
+            m ^= bit
+            row = adj[bit.bit_length() - 1]
+            if row in keys or row | bit in keys:
                 continue
-            reps.append(v)
-            rest = tuple(w for w in cell if w != v)
-            rec(cells[:target] + ((v,), rest) + cells[target + 1 :])
+            keys.add(row)
+            keys.add(row | bit)
+            rec(cells[:target] + [bit, cell ^ bit] + cells[target + 1 :], [bit])
 
-    rec(initial)
+    rec(initial, initial[:-1])
     return best[0], best[1]
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import graphs
-from .graphs import Graph, _interchangeable
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,12 @@ class ForbiddenPattern:
 
 def _pattern_graph(f) -> Graph:
     return f.graph if isinstance(f, ForbiddenPattern) else f
+
+
+def _interchangeable(adj, u, v):
+    """True iff u and v are twins: equal neighbourhoods apart from each other."""
+    m = ~((1 << u) | (1 << v))
+    return (adj[u] & m) == (adj[v] & m)
 
 
 @lru_cache(maxsize=4096)

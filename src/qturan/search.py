@@ -281,11 +281,13 @@ def _total_examined(f, n) -> int:
     return total
 
 
-def _check_cap(n: int):
+def _check_cap(n: int, budget: int):
     if n < 1:
         raise SearchError(f"n={n} is below 1")
     if n > HARD_CAP:
         raise SearchError(f"n={n} exceeds the cap of {HARD_CAP}")
+    if budget < 0:
+        raise SearchError(f"budget {budget} is below 0")
 
 
 def _is_edge_maximal(g: Graph, f: Optional[ForbiddenPattern]) -> bool:
@@ -314,7 +316,7 @@ def enumerate_free(
     config = config or SearchConfig()
     if config.mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
         raise SearchError(f"unknown mode {config.mode!r}")
-    _check_cap(n)
+    _check_cap(n, config.budget)
     budget_used = 0
     progress = {}
     for k in range(1, n + 1):
@@ -404,10 +406,16 @@ def extremal(
     config: Optional[SearchConfig] = None,
 ) -> ExtremalRecord:
     """Exact maximum of the measure over n-vertex F-free graphs, with
-    all witnesses attaining it (within VALUE_TOL) as sorted canonical graph6."""
+    all witnesses attaining it (within VALUE_TOL) as sorted canonical graph6.
+
+    With ``config.cache_dir`` set, a valid cached record is returned as it
+    is, and a computed one is written back; a write that fails with an
+    ``OSError`` is dropped, so the disk cache never fails a run."""
     config = config or SearchConfig()
     if measure not in MEASURES:
         raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")
+    # a usage error does not depend on what the cache holds
+    _check_cap(n, config.budget)
     chash = _config_hash(f, n, measure, config)
     cache_file = None
     if config.cache_dir:
@@ -432,7 +440,10 @@ def extremal(
         graphs_examined=_total_examined(f, n),
     )
     if cache_file is not None:
-        _write_cached(cache_file, chash, record)
+        try:
+            _write_cached(cache_file, chash, record)
+        except OSError:
+            pass  # a cache that cannot be written never fails the run
     return record
 
 

@@ -51,6 +51,105 @@ def canonical_graph(g):
     return g.relabel(graphs.canonical_permutation(g))
 
 
+# -- reference canonical labelling ----------------------------------------
+# The labelling as it stood before cells became bitmasks: every round
+# recounts every vertex against every cell, and twins are found by pairwise
+# comparison.  graphs._canonical must return the same (rows, perm) on every
+# input, since search._children picks its deletion vertex from perm.
+
+
+def reference_refine(n, adj, cells):
+    """Equitable refinement of an ordered partition by neighbor counts."""
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                buckets.setdefault(sig, []).append(v)
+            if len(buckets) > 1:
+                changed = True
+            for sig in sorted(buckets):
+                new_cells.append(tuple(buckets[sig]))
+        cells = new_cells
+        if not changed:
+            return tuple(cells)
+
+
+def _reference_interchangeable(adj, u, v):
+    m = ~((1 << u) | (1 << v))
+    return (adj[u] & m) == (adj[v] & m)
+
+
+def _reference_encode(n, adj, perm):
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    rows = [0] * n
+    for i, v in enumerate(perm):
+        m = adj[v]
+        row = 0
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            row |= 1 << pos[w]
+        rows[i] = row
+    return tuple(rows)
+
+
+def reference_canonical(n, adj):
+    """Canonical labeling: (adjacency rows of the relabeled graph, permutation).
+
+    Degree-partition refinement with backtracking over cell individualization
+    (McKay-style); branches whose chosen vertex is swappable with an already
+    tried one are skipped, which collapses cliques, cocliques and equal parts.
+    """
+    if n == 1:
+        return (0,), (0,)
+    by_deg = {}
+    for v in range(n):
+        by_deg.setdefault(adj[v].bit_count(), []).append(v)
+    initial = tuple(tuple(by_deg[d]) for d in sorted(by_deg, reverse=True))
+
+    best = [None, None]
+
+    def rec(cells):
+        cells = reference_refine(n, adj, cells)
+        target = -1
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = idx
+                break
+        if target < 0:
+            perm = tuple(c[0] for c in cells)
+            enc = _reference_encode(n, adj, perm)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+                best[1] = perm
+            return
+        cell = cells[target]
+        reps = []
+        for v in cell:
+            if any(_reference_interchangeable(adj, v, u) for u in reps):
+                continue
+            reps.append(v)
+            rest = tuple(w for w in cell if w != v)
+            rec(cells[:target] + ((v,), rest) + cells[target + 1 :])
+
+    rec(initial)
+    return best[0], best[1]
+
+
 def min_perron_entry(result):
     return float(result.vector.min())
 

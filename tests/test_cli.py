@@ -162,6 +162,48 @@ class TestExtremal:
         assert code == 2
         assert f"error: n={n} is below 1" in err
 
+    def test_negative_budget_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "extremal", "--pattern", "K3", "--n", "4",
+            "--budget", "-5", "--no-cache",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: budget -5 is below 0" in err
+
+    def test_negative_budget_rejected_on_a_cache_hit(self, capsys, tmp_path):
+        argv = ["extremal", "--pattern", "K3", "--n", "4", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--budget", "-1")
+        assert code == 2
+        assert "error: budget -1 is below 0" in err
+
+    def test_zero_budget_is_exhausted(self, capsys):
+        import qturan.search as search
+
+        search.clear_caches()
+        code, out, _ = run(
+            capsys,
+            "extremal", "--pattern", "K3", "--n", "4",
+            "--budget", "0", "--no-cache",
+        )
+        assert code == 3
+        assert "budget exhausted: examined 1 candidates, budget 0" in out
+        search.clear_caches()
+
+    def test_unwritable_cache_dir_does_not_fail(self, capsys, tmp_path):
+        # the cache directory is a regular file, so the record cannot be
+        # written; the run prints what an uncached run prints and exits 0
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["extremal", "--pattern", "K3", "--n", "3"]
+        code, out, err = run(capsys, *argv, "--cache-dir", str(blocker))
+        assert code == 0
+        assert err == ""
+        assert (code, out) == run(capsys, *argv, "--no-cache")[:2]
+        assert blocker.read_text() == ""
+
 
 class TestVerify:
     def test_bound_chain_passes(self, capsys):

@@ -142,6 +142,8 @@ class TestEnumeration:
             enumerate_free(0)
         with pytest.raises(SearchError):
             enumerate_free(4, config=SearchConfig(mode="bogus"))
+        with pytest.raises(SearchError, match="budget -1 is below 0"):
+            enumerate_free(4, config=SearchConfig(budget=-1))
 
     def test_maximal_mode_has_the_same_cap(self):
         # maximal mode enumerates every class before filtering, so it
