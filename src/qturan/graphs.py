@@ -174,14 +174,19 @@ class Graph:
         return Graph(len(verts), tuple(rows))
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+        return adjacency_matrices([self], self.n)[0]
 
     def __repr__(self):
         return f"Graph({self.n}, g6={to_graph6(self)!r})"
+
+
+def adjacency_matrices(gs, n: int) -> np.ndarray:
+    """The float64 adjacency matrices of graphs on n vertices, stacked in one
+    array, unpacked from their bit rows."""
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for g in gs for row in g.adj)
+    bits = np.frombuffer(raw, np.uint8).reshape(-1, n, width)
+    return np.unpackbits(bits, axis=2, count=n, bitorder="little").astype(np.float64)
 
 
 # -- constructors --------------------------------------------------------

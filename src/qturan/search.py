@@ -336,16 +336,6 @@ def enumerate_free(
     return reps
 
 
-def _evaluate(g: Graph, measure: str) -> float:
-    if measure == "edges":
-        return float(g.edge_count())
-    if measure == "lambda":
-        return spectra.dense_lambda_value(g)
-    if measure == "q":
-        return spectra.dense_q_value(g)
-    raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")
-
-
 def _config_hash(f, n, measure, config: SearchConfig) -> str:
     payload = json.dumps(
         {
@@ -426,7 +416,10 @@ def extremal(
     reps = enumerate_free(n, f, config)
     if not reps:
         raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
-    values = [_evaluate(g, measure) for g in reps]
+    if measure == "edges":
+        values = [float(g.edge_count()) for g in reps]
+    else:
+        values = spectra.top_eigenvalues(reps, measure)
     best = max(values)
     witnesses = sorted(
         graphs.to_graph6(g) for g, v in zip(reps, values) if v >= best - VALUE_TOL

@@ -1,27 +1,21 @@
-"""Adjacency and signless Laplacian spectral radii with Perron vectors.
+"""Adjacency and signless Laplacian spectral radii, and Perron vectors.
 
-q(G) is the largest eigenvalue of Q(G) = D(G) + A(G).  The fast path is
-deterministic power iteration (Q is PSD, so its top eigenvalue dominates;
-the adjacency iteration is run on A + delta*I to avoid sign flips on
-bipartite spectra).  Dense symmetric eigensolve is the fallback and the
-cross-check oracle at small n.  Each component is solved on its block of
-one adjacency matrix: the largest value wins, an exact tie goes to the
-component with the smaller canonical form, and the Perron vector is zero
-off the winner.
-
-The iteration is ``_kernels.power_iteration``, which stops once the
-residual ||Mx - theta x|| is at most ``TOL``.  It sums the Rayleigh
-quotient and the residual in Python loops over Python floats, left to
-right; that fixed order pins the last bits of the reported value and
-vector, and so of CLI output such as the checkers' slacks, the
-``residual`` line of ``spectrum`` and the ``mu_sq_times_n`` column of
-``table``.  ``sum``, ``math.fsum`` or a numpy ``dot`` in place of those
-loops would move them.  Extremal search itself evaluates with
-``dense_*_value`` (LAPACK).
+q(G) is the top eigenvalue of Q(G) = D(G) + A(G), lambda(G) that of A(G).
+Values come from LAPACK: ``top_eigenvalues`` solves a list of graphs in
+stacked ``eigvalsh`` blocks, and ``dense_q_value`` and ``dense_lambda_value``
+are its one-graph calls.  Perron vectors come from ``spectral_radius``,
+which runs power iteration (on A + delta*I for the adjacency, against sign
+flips on bipartite spectra; ``eigh`` is the fallback) on each component's
+block: the largest value wins, an exact tie goes to the smaller canonical
+form, and the vector is zero off the winner.  ``_kernels.power_iteration`` stops at
+residual ``TOL`` and sums in a fixed order, which pins the last bits of the
+printed fields read from it: ``mu_sq_times_n`` of ``table``, the values of
+``lemma22``, the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +36,9 @@ _KIND_ALIASES = {
 }
 
 TOL = 1e-10
+
+# graphs per stacked eigvalsh call of top_eigenvalues, which bounds its memory
+BLOCK = 256
 
 
 class SpectralError(ValueError):
@@ -65,8 +62,10 @@ def normalize_kind(kind: str) -> str:
 
 
 def _with_degrees(a: np.ndarray, kind: str) -> np.ndarray:
-    """Q = D + A for the signless Laplacian, A itself for the adjacency."""
-    return a + np.diag(a.sum(axis=1)) if kind == SIGNLESS_LAPLACIAN else a
+    """Q = D + A for the signless Laplacian, else A; ``a`` may be a stack."""
+    if kind != SIGNLESS_LAPLACIAN:
+        return a
+    return a + a.sum(axis=-1)[..., None] * np.eye(a.shape[-1])
 
 
 def matrix_of(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> np.ndarray:
@@ -134,21 +133,26 @@ def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> Spectral
     )
 
 
-def q_radius(g: graphs.Graph) -> float:
-    return spectral_radius(g, SIGNLESS_LAPLACIAN).value
-
-
-def lambda_radius(g: graphs.Graph) -> float:
-    return spectral_radius(g, ADJACENCY).value
+def top_eigenvalues(gs, kind: str = SIGNLESS_LAPLACIAN) -> list:
+    """Top eigenvalue of A(G) or Q(G) for each graph of ``gs``, the same bits
+    as ``eigvalsh(matrix_of(g, kind))[-1]``: each run of same-n graphs is
+    solved ``BLOCK`` matrices per ``eigvalsh`` call."""
+    kind = normalize_kind(kind)
+    values = []
+    for n, run in itertools.groupby(gs, key=lambda g: g.n):
+        run = list(run)
+        for i in range(0, len(run), BLOCK):
+            a = graphs.adjacency_matrices(run[i : i + BLOCK], n)
+            values += np.linalg.eigvalsh(_with_degrees(a, kind))[:, -1].tolist()
+    return values
 
 
 def dense_q_value(g: graphs.Graph) -> float:
-    """Exact-arithmetic-free but LAPACK-accurate q(G); oracle for small n."""
-    return float(np.linalg.eigvalsh(matrix_of(g, SIGNLESS_LAPLACIAN))[-1])
+    return top_eigenvalues([g], SIGNLESS_LAPLACIAN)[0]
 
 
 def dense_lambda_value(g: graphs.Graph) -> float:
-    return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+    return top_eigenvalues([g], ADJACENCY)[0]
 
 
 def rayleigh_q(g: graphs.Graph, x) -> float:

@@ -11,8 +11,9 @@ An inequality passes when it loses at most ``CHECK_TOL`` (its slack is at
 least -CHECK_TOL), and every such report carries that value in ``tol``.
 The star theorem asks for equality, so it uses ``search.VALUE_TOL``, the
 window that also decides which graphs are extremal witnesses.  Spectral
-radii come from ``spectra``, whose power iteration stops at
-``spectra.TOL``.  A range with nothing to check raises ``VerifyError``.
+values come from LAPACK, and Perron vectors (lemma22, the vertex_deletion
+bound, monotone) from power iteration, which stops at ``spectra.TOL``.  A
+range with nothing to check raises ``VerifyError``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def check_vertex_deletion(h: Graph) -> CheckReport:
     mu2 = float(res.vector.min()) ** 2
     u = int(np.argmin(res.vector))
     bound = res.value * (1 - 2 * mu2) / (1 - mu2) - (1 - h.n * mu2) / (1 - mu2)
-    lhs = spectra.spectral_radius(h.delete_vertex(u), "q").value
+    lhs = spectra.dense_q_value(h.delete_vertex(u))
     return _report("vertex_deletion", subject, lhs, bound, lhs - bound)
 
 
@@ -102,17 +103,13 @@ def check_bound_chain(g: Graph) -> CheckReport:
     if g.n < 2:
         return _not_applicable("bound_chain", subject)
     e = g.edge_count()
-    lam = spectra.spectral_radius(g, "adjacency").value
-    q = spectra.spectral_radius(g, "q").value
+    lam = spectra.dense_lambda_value(g)
+    q = spectra.dense_q_value(g)
     feng_yu = 2 * e / (g.n - 1) + g.n - 2
     degs = [g.degree(v) for v in range(g.n)]
     edge_deg = max((degs[u] + degs[v] for u, v in g.edges()), default=0)
     upper = min(feng_yu, edge_deg)
-    links = [
-        (2 * lam, 4 * e / g.n),
-        (q, 2 * lam),
-        (upper, q),
-    ]
+    links = [(2 * lam, 4 * e / g.n), (q, 2 * lam), (upper, q)]
     upper_v, lower_v = min(links, key=lambda ab: ab[0] - ab[1])
     return _report("bound_chain", subject, lower_v, upper_v, upper_v - lower_v)
 

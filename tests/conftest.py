@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from qturan import graphs
+from qturan import graphs, spectra, verify
 
 
 def all_labeled_graphs(n):
@@ -148,6 +149,55 @@ def reference_canonical(n, adj):
 
     rec(initial)
     return best[0], best[1]
+
+
+# -- reference checkers -----------------------------------------------------
+# bound_chain and vertex_deletion as they stood when every spectral value they
+# read came from power iteration (spectra.spectral_radius).  They now read
+# values from LAPACK, so they must agree with these on every status and to
+# within rounding on every number.
+
+
+def reference_check_vertex_deletion(h):
+    subject = graphs.to_graph6(h)
+    if h.n < 2 or not h.is_connected():
+        return verify._not_applicable("vertex_deletion", subject)
+    res = spectra.spectral_radius(h, "q")
+    mu2 = float(res.vector.min()) ** 2
+    u = int(np.argmin(res.vector))
+    bound = res.value * (1 - 2 * mu2) / (1 - mu2) - (1 - h.n * mu2) / (1 - mu2)
+    lhs = spectra.spectral_radius(h.delete_vertex(u), "q").value
+    return verify._report("vertex_deletion", subject, lhs, bound, lhs - bound)
+
+
+def reference_check_bound_chain(g):
+    subject = graphs.to_graph6(g)
+    if g.n < 2:
+        return verify._not_applicable("bound_chain", subject)
+    e = g.edge_count()
+    lam = spectra.spectral_radius(g, "adjacency").value
+    q = spectra.spectral_radius(g, "q").value
+    feng_yu = 2 * e / (g.n - 1) + g.n - 2
+    degs = [g.degree(v) for v in range(g.n)]
+    edge_deg = max((degs[u] + degs[v] for u, v in g.edges()), default=0)
+    upper = min(feng_yu, edge_deg)
+    links = [
+        (2 * lam, 4 * e / g.n),
+        (q, 2 * lam),
+        (upper, q),
+    ]
+    upper_v, lower_v = min(links, key=lambda ab: ab[0] - ab[1])
+    return verify._report("bound_chain", subject, lower_v, upper_v, upper_v - lower_v)
+
+
+def reference_adjacency_matrix(g):
+    """The adjacency matrix built edge by edge, as before it was unpacked
+    from the bit rows."""
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    for u, v in g.edges():
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
 
 
 def min_perron_entry(result):

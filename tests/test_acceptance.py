@@ -17,14 +17,14 @@ def _turan_or_complete(r, n):
 def test_criterion_1_closed_form_spectra(acceptance_report):
     worst = 0.0
     for n in range(2, 201):
-        q = spectra.q_radius(graphs.turan(2, n))
+        q = spectra.dense_q_value(graphs.turan(2, n))
         worst = max(worst, abs(q - n))
     for t in range(2, 51):
-        q = spectra.q_radius(graphs.complete(t))
+        q = spectra.dense_q_value(graphs.complete(t))
         worst = max(worst, abs(q - 2 * (t - 1)))
     for s in range(1, 31):
         for t in range(s, 31):
-            q = spectra.q_radius(graphs.complete_bipartite(s, t))
+            q = spectra.dense_q_value(graphs.complete_bipartite(s, t))
             worst = max(worst, abs(q - (s + t)))
     acceptance_report(
         1,

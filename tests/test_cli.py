@@ -216,16 +216,18 @@ class TestVerify:
 
     # SHA-256 of `verify --check <check> --n-max 6` stdout
     SWEEP_SHA256 = {
-        "bound_chain": "53f91a0de0b8e06faffe6712935f587893caebacc49a16f3ec398c9f4746bed4",
-        "vertex_deletion": "f8b9ba07de8e4dbbe339bf03e81897e6c41622d75b498c9119d996fd0035e9a3",
+        "bound_chain": "aa3b52b88e34a160d96cdb84075a2e663876d2f451384f09991bc3611c99d985",
+        "vertex_deletion": "4b07d6846bf6f5575a26ce3da84ec76d670d7e049f7e3155ff493c7270f9cf91",
         "lemma22": "d29561f4a39517152ff35f742a360b65003184d2e14fedabd48a4deaae2ececa",
     }
 
     @pytest.mark.parametrize("check", list(SWEEP_SHA256))
     def test_check_bytes_pinned(self, capsys, check):
-        # the slacks sit at the last bits of power iteration's sums, so
-        # reordering them (e.g. x @ y for the Rayleigh quotient) shows here
-        # even where the K4 table's 12 digits do not move
+        # the slacks sit at the last bits of the spectral values: LAPACK's
+        # for bound_chain and the q(H - u) side of vertex_deletion, power
+        # iteration's sums for lemma22 and the vertex_deletion bound, so
+        # reordering those sums (e.g. x @ y for the Rayleigh quotient) shows
+        # here even where the K4 table's 12 digits do not move
         code, out, _ = run(
             capsys, "verify", "--check", check, "--n-max", "6", "--no-cache"
         )

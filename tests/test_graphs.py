@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturan import graphs, search
-from tests.conftest import all_labeled_graphs, canonical_graph, reference_canonical
+from tests.conftest import (
+    all_labeled_graphs,
+    canonical_graph,
+    reference_adjacency_matrix,
+    reference_canonical,
+)
 
 
 def random_graphs(count, seed=12345, n_max=20):
@@ -91,6 +96,27 @@ class TestMutation:
     def test_degree_sum_is_twice_edges(self):
         for g in random_graphs(50, seed=7):
             assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count()
+
+
+class TestAdjacencyMatrices:
+    def test_unpacked_rows_match_edge_by_edge(self):
+        # n = 8, 9, 64, 65 and 70 put the last vertex at a byte's edge
+        gs = random_graphs(200, seed=21) + [
+            graphs.random_graph(n, 0.5, np.random.default_rng(n))
+            for n in (8, 9, 64, 65, 70)
+        ]
+        for g in gs:
+            a = g.adjacency_matrix()
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert np.array_equal(a, reference_adjacency_matrix(g))
+
+    def test_stack_of_one_size(self):
+        gs = search.enumerate_free(5)
+        stack = graphs.adjacency_matrices(gs, 5)
+        assert stack.shape == (len(gs), 5, 5)
+        for a, g in zip(stack, gs):
+            assert np.array_equal(a, reference_adjacency_matrix(g))
+        assert graphs.adjacency_matrices([], 5).shape == (0, 5, 5)
 
 
 class TestGraph6:

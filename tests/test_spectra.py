@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qturan import graphs, spectra
+from qturan import graphs, search, spectra
 from tests.conftest import eigen_equation_residual, min_perron_entry
 
 
@@ -15,26 +15,62 @@ def seeded_graphs(per_n, n_values, seed=4242, p=0.5):
             yield graphs.random_graph(n, p, rng)
 
 
+def eigvalsh_top(g, kind):
+    """Oracle: the top of one per-graph eigvalsh call."""
+    return float(np.linalg.eigvalsh(spectra.matrix_of(g, kind))[-1])
+
+
+class TestTopEigenvalues:
+    @pytest.mark.parametrize("kind", ["q", "adjacency"])
+    def test_bits_match_eigvalsh_on_seven_vertices(self, kind):
+        gs = search.enumerate_free(7)
+        assert len(gs) > spectra.BLOCK
+        values = spectra.top_eigenvalues(gs, kind)
+        assert [v.hex() for v in values] == [eigvalsh_top(g, kind).hex() for g in gs]
+
+    @pytest.mark.parametrize("kind", ["q", "adjacency"])
+    def test_disconnected_graphs_and_k1(self, kind):
+        k1, k2, k3 = graphs.complete(1), graphs.complete(2), graphs.complete(3)
+        c4 = graphs.cycle(4)
+        gs = [
+            k1,
+            graphs.disjoint_union([k3, c4]),
+            graphs.disjoint_union([c4, k3]),
+            graphs.empty(7),
+            k1,
+            graphs.disjoint_union([k2, k2, k1]),
+            graphs.disjoint_union([k3, k1]),
+            graphs.empty(5),
+        ]
+        values = spectra.top_eigenvalues(gs, kind)
+        assert [v.hex() for v in values] == [eigvalsh_top(g, kind).hex() for g in gs]
+        one = spectra.dense_q_value if kind == "q" else spectra.dense_lambda_value
+        assert [one(g).hex() for g in gs] == [v.hex() for v in values]
+
+    def test_empty_list(self):
+        assert spectra.top_eigenvalues([]) == []
+
+
 class TestClosedForms:
     def test_q_turan2(self):
-        assert spectra.q_radius(graphs.turan(2, 6)) == pytest.approx(6, abs=1e-9)
+        assert spectra.dense_q_value(graphs.turan(2, 6)) == pytest.approx(6, abs=1e-9)
 
     def test_q_complete(self):
-        assert spectra.q_radius(graphs.complete(4)) == pytest.approx(6, abs=1e-9)
+        assert spectra.dense_q_value(graphs.complete(4)) == pytest.approx(6, abs=1e-9)
 
     def test_q_c5(self):
         # 2-regular, so Q = 2I + A and q = 2 + 2
-        assert spectra.q_radius(graphs.cycle(5)) == pytest.approx(4, abs=1e-9)
+        assert spectra.dense_q_value(graphs.cycle(5)) == pytest.approx(4, abs=1e-9)
 
     def test_q_star4(self):
-        assert spectra.q_radius(graphs.star(4)) == pytest.approx(5, abs=1e-9)
+        assert spectra.dense_q_value(graphs.star(4)) == pytest.approx(5, abs=1e-9)
 
     def test_lambda_star4(self):
-        assert spectra.lambda_radius(graphs.star(4)) == pytest.approx(2, abs=1e-8)
+        assert spectra.dense_lambda_value(graphs.star(4)) == pytest.approx(2, abs=1e-8)
 
     def test_complete_bipartite_q_is_n(self):
         for s, t in [(1, 1), (2, 5), (4, 4), (7, 3)]:
-            assert spectra.q_radius(
+            assert spectra.dense_q_value(
                 graphs.complete_bipartite(s, t)
             ) == pytest.approx(s + t, abs=1e-8)
 
@@ -95,7 +131,7 @@ class TestRayleigh:
         for g in seeded_graphs(3, range(3, 9), seed=15):
             x = rng.uniform(0, 1, g.n)
             x /= np.linalg.norm(x)
-            assert spectra.rayleigh_q(g, x) <= spectra.q_radius(g) + 1e-8
+            assert spectra.rayleigh_q(g, x) <= spectra.dense_q_value(g) + 1e-8
 
     def test_zero_vector_rejected(self):
         with pytest.raises(spectra.SpectralError):
@@ -137,8 +173,8 @@ class TestProperties:
     def test_bound_chain_random(self):
         for g in seeded_graphs(10, range(2, 11), seed=16):
             e, n = g.edge_count(), g.n
-            lam = spectra.lambda_radius(g)
-            q = spectra.q_radius(g)
+            lam = spectra.dense_lambda_value(g)
+            q = spectra.dense_q_value(g)
             assert q >= 2 * lam - 1e-8
             assert 2 * lam >= 4 * e / n - 1e-8
             assert q <= 2 * e / (n - 1) + n - 2 + 1e-8  # Feng-Yu
@@ -159,8 +195,8 @@ class TestProperties:
                 continue
             u, v = missing[rng.integers(len(missing))]
             bigger = g.add_edge(u, v)
-            assert spectra.q_radius(bigger) >= spectra.q_radius(g) - 1e-8
-            assert spectra.lambda_radius(bigger) >= spectra.lambda_radius(g) - 1e-8
+            for value in (spectra.dense_q_value, spectra.dense_lambda_value):
+                assert value(bigger) >= value(g) - 1e-8
 
     def test_regular_q_is_2d(self):
         for g, d in [
@@ -169,14 +205,14 @@ class TestProperties:
             (graphs.complete_bipartite(4, 4), 4),
             (graphs.petersen(), 3),
         ]:
-            assert spectra.q_radius(g) == pytest.approx(2 * d, abs=1e-8)
+            assert spectra.dense_q_value(g) == pytest.approx(2 * d, abs=1e-8)
 
     def test_power_agrees_with_dense(self):
         for g in seeded_graphs(5, range(2, 13), seed=19):
-            assert spectra.q_radius(g) == pytest.approx(
+            assert spectra.spectral_radius(g, "q").value == pytest.approx(
                 spectra.dense_q_value(g), abs=1e-7
             )
-            assert spectra.lambda_radius(g) == pytest.approx(
+            assert spectra.spectral_radius(g, "adjacency").value == pytest.approx(
                 spectra.dense_lambda_value(g), abs=1e-7
             )
 

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from qturan import graphs, verify
 from qturan.patterns import pattern_by_name
-from qturan.search import SearchConfig
+from qturan.search import SearchConfig, enumerate_free
 from qturan.verify import (
     ROW_FIELDS,
     VerifyError,
@@ -15,6 +17,7 @@ from qturan.verify import (
     sweep_graphs,
     sweep_random,
 )
+from tests.conftest import reference_check_bound_chain, reference_check_vertex_deletion
 
 
 class TestVertexDeletion:
@@ -46,6 +49,28 @@ class TestVertexDeletion:
     def test_exhaustive_small(self):
         reports = sweep_graphs("vertex_deletion", 7)
         assert reports and all(r.passed for r in reports if r.applicable)
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        (check_bound_chain, reference_check_bound_chain),
+        (check_vertex_deletion, reference_check_vertex_deletion),
+    ],
+    ids=["bound_chain", "vertex_deletion"],
+)
+def test_lapack_values_agree_with_power_iteration(check, reference):
+    # every class with n <= 6, disconnected ones included (N/A on both sides
+    # for vertex_deletion)
+    for n in range(1, 7):
+        for g in enumerate_free(n):
+            new, old = check(g), reference(g)
+            assert new.status() == old.status(), new.subject
+            for field in ("lhs", "rhs", "slack"):
+                a, b = getattr(new, field), getattr(old, field)
+                assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12, (
+                    new.subject, field, a, b
+                )
 
 
 class TestLemma22:
