@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--budget", type=int, default=10**8)
+        p.add_argument("--budget", type=int, default=search.SearchConfig.budget)
 
     p = sub.add_parser("spectrum", help="spectral radius of one graph")
     p.add_argument("--graph", required=True, help="graph name or graph6 string")

@@ -382,6 +382,24 @@ def from_graph6(s: str) -> Graph:
 # -- canonical form ------------------------------------------------------
 
 
+def twin_classes(adj) -> tuple:
+    """Vertex tuples, in increasing order, of the classes of two or more
+    vertices with equal open (``adj[v]``) or equal closed
+    (``adj[v] | 1 << v``) neighbourhoods.
+
+    Both kinds share one key space, since an open key never equals a closed
+    one (see ``_canonical``).  A vertex lies in at most one class: an open
+    twin is not adjacent to its twin and a closed twin is, so a vertex with
+    both kinds of twin would make its open twin adjacent to itself.  Any
+    permutation inside one class is an automorphism.
+    """
+    groups = {}
+    for v, row in enumerate(adj):
+        groups.setdefault(row, []).append(v)
+        groups.setdefault(row | 1 << v, []).append(v)
+    return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
+
+
 def _refine(adj, cells, splitters):
     """Equitable refinement of an ordered partition of vertex bitmasks.
 

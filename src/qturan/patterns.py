@@ -47,27 +47,20 @@ def _pattern_graph(f) -> Graph:
     return f.graph if isinstance(f, ForbiddenPattern) else f
 
 
-def _interchangeable(adj, u, v):
-    """True iff u and v are twins: equal neighbourhoods apart from each other."""
-    m = ~((1 << u) | (1 << v))
-    return (adj[u] & m) == (adj[v] & m)
-
-
 @lru_cache(maxsize=4096)
 def _plans(pg: Graph) -> tuple:
     """One embedding plan ``(k, back)`` per anchor vertex p of F.
 
-    Anchors are deduped by transposition automorphisms, which is enough
-    when a single host vertex is fixed.  The order puts p in slot 0, p's k
-    neighbours in slots 1..k and the rest after them; within each part it
-    takes the vertex with the most edges to those already placed, ties
-    broken by degree.  ``back[d]`` lists the earlier slots adjacent to
-    slot d.
+    Each twin class (``graphs.twin_classes``) gives one anchor, its lowest
+    vertex: twins are swapped by a transposition automorphism, which is
+    enough when a single host vertex is fixed.  The order puts p in slot
+    0, p's k neighbours in slots 1..k and the rest after them; within each
+    part it takes the vertex with the most edges to those already placed,
+    ties broken by degree.  ``back[d]`` lists the earlier slots adjacent
+    to slot d.
     """
-    anchors = []
-    for p in range(pg.n):
-        if not any(_interchangeable(pg.adj, p, r) for r in anchors):
-            anchors.append(p)
+    twins = {v for cls in graphs.twin_classes(pg.adj) for v in cls[1:]}
+    anchors = [p for p in range(pg.n) if p not in twins]
     plans = []
     for p in anchors:
         nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]

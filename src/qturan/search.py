@@ -42,9 +42,11 @@ child passes through the new vertex.  This filter runs after the twin
 filter and before the degree filter.
 
 Each level is built on one thread, parent by parent, and sorted by
-canonical graph6, so its order does not depend on the deletion rule.  The
-budget is checked after every parent, so a level overruns it by at most
-one parent's 2^(n-1) masks, and a level cut short by it is never cached.
+canonical graph6, so its order does not depend on the deletion rule.  Level
+n examines all 2^(n-1) masks of every class on n - 1 vertices, so its cost
+is known before it is built: the budget is checked once per level against
+that cost, a level it cannot cover is never started, and the candidates
+examined never exceed it.
 All three measures are edge-monotone, so the edge-maximal mode is exact
 for extremal values; ``equivalence_check`` keeps that honest.
 """
@@ -104,8 +106,11 @@ class SearchError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration budget exhausted; ``progress`` maps each complete level
-    to its class count and ``examined`` counts the candidates examined."""
+    """Enumeration budget exhausted: the next level's cost would take the
+    candidates examined past the budget, so that level was not started.
+    ``progress`` maps each complete level to its class count and
+    ``examined`` (never above the budget) counts the candidates examined
+    by those levels."""
 
     def __init__(self, message: str, progress: dict, examined: int):
         super().__init__(message)
@@ -113,7 +118,7 @@ class BudgetExceededError(RuntimeError):
         self.examined = examined
 
 
-# level cache: (pattern_key, n) -> (tuple of canonical Graphs, examined at level)
+# level cache: (pattern_key, n) -> tuple of canonical Graphs
 _LEVELS: dict = {}
 
 
@@ -137,29 +142,13 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return graphs._unchecked(n + 1, tuple(rows))
 
 
-def _twin_classes(parent: Graph) -> tuple:
-    """Vertex tuples, in increasing order, of the classes of two or more
-    vertices of ``parent`` with equal open or equal closed neighbourhoods.
-
-    A vertex lies in at most one class: an open twin is not adjacent to its
-    twin and a closed twin is, so a vertex with both kinds of twin would
-    make its open twin adjacent to itself.  Any permutation inside one
-    class is an automorphism of ``parent``.
-    """
-    groups = {}
-    for v, row in enumerate(parent.adj):
-        groups.setdefault((row, False), []).append(v)
-        groups.setdefault((row | 1 << v, True), []).append(v)
-    return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
-
-
 def _twin_masks(parent: Graph) -> list:
     """The masks whose intersection with each twin class of ``parent`` is
     that class's lowest vertices; every mask is the image of one of them
     under an automorphism that permutes twins."""
     masks = [0]
     rest = (1 << parent.n) - 1
-    for cls in _twin_classes(parent):
+    for cls in graphs.twin_classes(parent.adj):
         prefixes = [0]
         for v in cls:
             prefixes.append(prefixes[-1] | 1 << v)
@@ -239,16 +228,17 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
     return accepted, examined
 
 
-def _level(f: Optional[ForbiddenPattern], n: int, allowance: int):
-    """Representatives of F-free classes on n vertices, sorted by canonical
-    graph6 and stored on their canonical rows, with the candidates
-    examined; level n - 1 must be cached.
+def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
+    """Candidates examined to build level n: one for K1, else every class on
+    n - 1 vertices with all 2**(n - 1) masks; level n - 1 must be cached."""
+    if n == 1:
+        return 1
+    return len(_LEVELS[(_pattern_key(f), n - 1)]) << (n - 1)
 
-    Parents are extended one at a time.  Once the candidates examined
-    exceed ``allowance``, no further parent is started: the level comes
-    back as ``(None, examined so far)`` and is not cached, so the overrun
-    is at most one parent's ``2**(n - 1)`` masks.
-    """
+
+def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
+    """Representatives of F-free classes on n vertices, sorted by canonical
+    graph6 and stored on their canonical rows; level n - 1 must be cached."""
     key = (_pattern_key(f), n)
     hit = _LEVELS.get(key)
     if hit is not None:
@@ -256,29 +246,17 @@ def _level(f: Optional[ForbiddenPattern], n: int, allowance: int):
     if n == 1:
         g = graphs.empty(1)
         reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
-        result = (reps, 1)
     else:
         rows = []
-        examined = 0
-        for parent in _LEVELS[(key[0], n - 1)][0]:
-            accepted, cnt = _children(parent, f)
-            rows.extend(accepted)
-            examined += cnt
-            if examined > allowance:
-                return None, examined
+        for parent in _LEVELS[(key[0], n - 1)]:
+            rows.extend(_children(parent, f)[0])
         # each class has exactly one parent, so sorting makes the order
         # independent of the deletion rule
-        reps = [graphs._unchecked(n, r) for r in rows]
-        result = (tuple(sorted(reps, key=graphs.to_graph6)), examined)
-    _LEVELS[key] = result
-    return result
-
-
-def _total_examined(f, n) -> int:
-    total = 0
-    for k in range(1, n + 1):
-        total += _LEVELS[(_pattern_key(f), k)][1]
-    return total
+        reps = tuple(
+            sorted((graphs._unchecked(n, r) for r in rows), key=graphs.to_graph6)
+        )
+    _LEVELS[key] = reps
+    return reps
 
 
 def _check_cap(n: int, budget: int):
@@ -311,26 +289,30 @@ def enumerate_free(
     """One canonical representative per isomorphism class of F-free graphs.
 
     ``config.mode == "maximal"`` keeps only the edge-maximal (F-saturated)
-    classes.
+    classes.  Before level k is built, its cost ``_cost(f, k)`` is added to
+    the candidates examined so far; if the sum exceeds ``config.budget``,
+    ``BudgetExceededError`` is raised and level k is never started.  The
+    same levels complete whether or not they are cached.
     """
     config = config or SearchConfig()
     if config.mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
         raise SearchError(f"unknown mode {config.mode!r}")
     _check_cap(n, config.budget)
-    budget_used = 0
+    examined = 0
     progress = {}
     for k in range(1, n + 1):
-        reps, examined = _level(f, k, config.budget - budget_used)
-        budget_used += examined
-        if reps is not None:
-            progress[k] = len(reps)
-        if budget_used > config.budget:
+        cost = _cost(f, k)
+        if examined + cost > config.budget:
             raise BudgetExceededError(
-                f"examined {budget_used} candidates, budget {config.budget}",
+                f"examined {examined} candidates, level {k} needs {cost} more, "
+                f"budget {config.budget}",
                 progress,
-                budget_used,
+                examined,
             )
-    reps = list(_LEVELS[(_pattern_key(f), n)][0])
+        examined += cost
+        reps = _level(f, k)
+        progress[k] = len(reps)
+    reps = list(reps)
     if config.mode == MAXIMAL_ONLY:
         reps = [g for g in reps if _is_edge_maximal(g, f)]
     return reps
@@ -430,7 +412,7 @@ def extremal(
         measure=measure,
         value=best,
         witnesses=witnesses,
-        graphs_examined=_total_examined(f, n),
+        graphs_examined=sum(_cost(f, k) for k in range(1, n + 1)),
     )
     if cache_file is not None:
         try:

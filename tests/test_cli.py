@@ -189,7 +189,10 @@ class TestExtremal:
             "--budget", "0", "--no-cache",
         )
         assert code == 3
-        assert "budget exhausted: examined 1 candidates, budget 0" in out
+        assert (
+            "budget exhausted: examined 0 candidates, level 1 needs 1 more, budget 0"
+            in out
+        )
         search.clear_caches()
 
     def test_unwritable_cache_dir_does_not_fail(self, capsys, tmp_path):

@@ -162,18 +162,39 @@ class TestEnumeration:
         search.clear_caches()
 
     def test_budget_bounds_work(self):
-        # the budget is checked per parent, so the level being built stops
-        # after at most one more parent and is never cached
+        # each level's cost is known before it is built, so a level the
+        # budget cannot cover is never started and is never cached
         search.clear_caches()
         budget = 2000
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_free(8, config=SearchConfig(budget=budget))
         assert exc.value.progress == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
-        level = max(exc.value.progress) + 1
-        assert budget < exc.value.examined <= budget + 2 ** (level - 1)
-        assert ("none", level) not in search._LEVELS
+        examined = exc.value.examined
+        assert examined <= budget < examined + search._cost(None, 7)
+        assert ("none", 7) not in search._LEVELS
         assert len(enumerate_free(7)) == 1044
         search.clear_caches()
+
+    def test_budget_error_does_not_depend_on_the_cache(self):
+        errors = []
+        for warm in (False, True):
+            search.clear_caches()
+            if warm:
+                enumerate_free(7)
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_free(7, config=SearchConfig(budget=100))
+            errors.append((str(exc.value), exc.value.progress, exc.value.examined))
+        assert errors[0] == errors[1]
+        search.clear_caches()
+
+    def test_cost_counts_every_mask_of_every_parent(self):
+        for f in (None, *map(pattern_by_name, ("K3", "K4", "C5"))):
+            enumerate_free(7, f)
+            assert search._cost(f, 1) == 1
+            for k in range(2, 8):
+                parents = search._level(f, k - 1)
+                examined = sum(search._children(p, f)[1] for p in parents)
+                assert search._cost(f, k) == examined, (f, k)
 
 
 def _last_vertex_levels(f, top):
@@ -218,7 +239,7 @@ class TestTwinClasses:
     def test_classes_are_disjoint_automorphism_classes(self):
         for n in range(1, 7):
             for parent in enumerate_free(n):
-                classes = search._twin_classes(parent)
+                classes = graphs.twin_classes(parent.adj)
                 members = [v for cls in classes for v in cls]
                 assert len(members) == len(set(members))
                 for cls in classes:
@@ -233,7 +254,7 @@ class TestTwinClasses:
         # mask: the one meeting each class in its lowest vertices
         for n in range(1, 7):
             for parent in enumerate_free(n):
-                classes = search._twin_classes(parent)
+                classes = graphs.twin_classes(parent.adj)
                 kept = search._twin_masks(parent)
                 assert len(kept) == len(set(kept))
                 normal = set()
