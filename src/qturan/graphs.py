@@ -30,7 +30,7 @@ class Graph6Error(GraphError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph; ``adj[i]`` has bit j set iff {i, j} is an edge."""
 
@@ -306,6 +306,29 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
 # -- graph6 codec --------------------------------------------------------
 
 
+# each byte with its bit order reversed
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def order_key(g: Graph) -> int:
+    """The upper-triangle bits in graph6 order, (0,1), (0,2), (1,2), (0,3)
+    ..., the first the most significant, as one int.
+
+    Column j's bits land at positions j(j-1)/2 + i, first bit lowest, and
+    reversing the bit order of every byte and then the byte order puts the
+    first bit on top.  For a fixed n, keys order graphs as their graph6
+    strings do: graph6 is a header followed by these bits, padded alike.
+    """
+    bits = 0
+    shift = 0
+    for j in range(1, g.n):
+        bits |= (g.adj[j] & ((1 << j) - 1)) << shift
+        shift += j
+    width = (shift + 7) // 8
+    flipped = bits.to_bytes(width, "little").translate(_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * width - shift)
+
+
 def to_graph6(g: Graph) -> str:
     if g.n <= 62:
         head = chr(63 + g.n)
@@ -313,20 +336,12 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(
             chr(63 + ((g.n >> s) & 0x3F)) for s in (12, 6, 0)
         )
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    out = [head]
-    for k in range(0, len(bits), 6):
-        chunk = bits[k : k + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    chunks = (nbits + 5) // 6
+    body = order_key(g) << (6 * chunks - nbits)
+    return head + "".join(
+        chr(63 + ((body >> s) & 0x3F)) for s in range(6 * chunks - 6, -1, -6)
+    )
 
 
 def from_graph6(s: str) -> Graph:
@@ -481,7 +496,8 @@ def _encode(n, adj, perm):
 
 
 def _canonical(n, adj):
-    """Canonical labeling: (adjacency rows of the relabeled graph, permutation).
+    """Canonical labeling: (adjacency rows of the relabeled graph,
+    permutation, automorphisms).
 
     Cells are vertex bitmasks.  The root partition is the degree cells in
     decreasing degree, refined against all of them but the last (the count
@@ -499,21 +515,44 @@ def _canonical(n, adj):
     closed one: adj[u] == adj[w] | 1 << w would put w in adj[u], so u in
     adj[w] and in adj[u], a loop.
 
+    The automorphisms are permutations a of the canonical positions, a[i]
+    the image of position i, so each maps the returned rows onto
+    themselves.  They come from the leaves whose rows equal the winner's.
+    Each comes after the winner, the first least leaf, and if the winner
+    lists vertex perm[i] at position i and the leaf lists perm2[i], then
+    perm[i] -> perm2[i] is an automorphism.  One such leaf is kept for each
+    node of the winner's path and each child of it off the path: the first
+    below that child.  With the twin transpositions they generate Aut(G)
+    (the stabiliser chain of Schreier-Sims, read off the search tree).
+    Automorphisms map the tree onto itself.  Let G_i fix the first i
+    vertices that the winner's path individualises, b the next one, and c a
+    vertex of b's cell in the G_i-orbit of b.  The leaf kept below c gives
+    an element of G_i taking b to c, so G_i is generated by G_{i+1} and
+    these elements; G_0 = Aut(G), and G_i is trivial at the winner.  If c
+    was skipped as the twin of an earlier u, then u is in the orbit too,
+    and (u c), which lies in G_i, takes u's element to one for c.  Below
+    each child visited in the orbit some leaf has the winner's rows: the
+    child's subtree holds an image of the winner, and a twin skipped below
+    the child leaves its twin's leaves, which have the same rows.
+
     ``(rows, perm)`` equals that of the full recount kept as the reference
     in ``tests/conftest.py``; ``search._children`` reads its deletion
     vertex off ``perm``, so both must stay the same.
     """
     if n == 1:
-        return (0,), (0,)
+        return (0,), (0,), ()
     by_deg = {}
     for v in range(n):
         d = adj[v].bit_count()
         by_deg[d] = by_deg.get(d, 0) | 1 << v
     initial = [by_deg[d] for d in sorted(by_deg, reverse=True)]
 
-    best = [None, None]
+    # rows, perm and individualised vertices of the least leaf so far
+    best = [None, None, None]
+    # the leaves equal to it, one per (depth, vertex) where they leave its path
+    equal = {}
 
-    def rec(cells, splitters):
+    def rec(cells, splitters, path):
         cells = _refine(adj, cells, splitters)
         for target, cell in enumerate(cells):
             if cell & (cell - 1):
@@ -522,8 +561,11 @@ def _canonical(n, adj):
             perm = tuple(c.bit_length() - 1 for c in cells)
             enc = _encode(n, adj, perm)
             if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best[1] = perm
+                best[:] = enc, perm, path
+                equal.clear()
+            elif enc == best[0]:
+                i = next(i for i, (u, v) in enumerate(zip(path, best[2])) if u != v)
+                equal.setdefault((i, path[i]), perm)
             return
         keys = set()
         m = cell
@@ -535,10 +577,21 @@ def _canonical(n, adj):
                 continue
             keys.add(row)
             keys.add(row | bit)
-            rec(cells[:target] + [bit, cell ^ bit] + cells[target + 1 :], [bit])
+            rec(
+                cells[:target] + [bit, cell ^ bit] + cells[target + 1 :],
+                [bit],
+                path + (bit,),
+            )
 
-    rec(initial, initial[:-1])
-    return best[0], best[1]
+    rec(initial, initial[:-1], ())
+    rows, perm = best[0], best[1]
+    if not equal:
+        return rows, perm, ()
+    position = [0] * n
+    for i, v in enumerate(perm):
+        position[v] = i
+    autos = tuple(tuple(position[v] for v in other) for other in equal.values())
+    return rows, perm, autos
 
 
 def canonical_form(g: Graph) -> str:

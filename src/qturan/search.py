@@ -14,23 +14,27 @@ degrees without building the child: the new vertex of mask M gets
 A mask is dropped before any labelling if some vertex beats the new one:
 first, in O(1), on degree alone (with parent maximum degree dmax reached
 on the vertex set top, the new vertex has maximum degree iff
-|M| >= dmax + [M meets top]), then on the key.  If the new vertex is the
-unique maximum, the child is accepted after one labelling, since the
-child minus it is the parent.  On a tie the labelling names the deletion
-vertex w; if w is not the new vertex, the sorted degree sequence of
-child - w must equal the parent's before child - w is labelled and
-compared.  A child whose class was already labelled from the same parent
-is skipped, since the verdict depends only on the class.
+|M| >= dmax + [M meets top]), then on the key.
 
-Only one mask per choice of twins is tried.  Vertices of the parent with
-equal open neighbourhoods, or equal closed ones, form disjoint classes
-that Aut(P) permutes freely, so a mask is kept only if it meets each
-class in that class's lowest vertices; every other mask gives a child
-isomorphic to a kept one, with the same verdict.
+Every filter is invariant under Aut(P), so one mask per orbit of Aut(P)
+is labelled.  If the new vertex is the unique maximum, the child is
+accepted, since the child minus it is the parent.  On a tie the labelling
+names the deletion vertex w, and the child is accepted iff the new vertex
+lies in the orbit of w under the child's automorphism group.  A class
+then has one parent class and one orbit of that parent's masks that
+gives it, so it is accepted once.  Both groups come from
+``graphs._canonical``, which returns automorphisms that, with the twin
+transpositions, generate the group; each class keeps those of its own
+labelling beside its level, so a parent brings its own.
+
+Vertices of the parent with equal open neighbourhoods, or equal closed
+ones, form disjoint classes that Aut(P) permutes freely, so only masks
+that meet each class in that class's lowest vertices are formed, and the
+image of a mask under an automorphism is brought back to that form.
 
 Classes are keyed on canonical adjacency rows, and each representative is
 stored unvalidated on its rows, so a parent is its own canonical labelling
-and the parent test compares rows; graph6 only orders levels and output.
+and its stored automorphisms act on its rows.
 
 Children that contain F are rejected by forbidden neighbourhoods (the new
 vertex's neighbourhood pruning of McKay's geng): once per parent P,
@@ -41,12 +45,12 @@ is exact only because every parent is F-free, so every copy of F in a
 child passes through the new vertex.  This filter runs after the twin
 filter and before the degree filter.
 
-Each level is built on one thread, parent by parent, and sorted by
-canonical graph6, so its order does not depend on the deletion rule.  Level
-n examines all 2^(n-1) masks of every class on n - 1 vertices, so its cost
-is known before it is built: the budget is checked once per level against
-that cost, a level it cannot cover is never started, and the candidates
-examined never exceed it.
+Each level is built on one thread, parent by parent, and sorted into
+canonical graph6 order by ``graphs.order_key``, so its order does not
+depend on the deletion rule.  Level n examines all 2^(n-1) masks of every
+class on n - 1 vertices, so its cost is known before it is built: the
+budget is checked once per level against that cost, a level it cannot
+cover is never started, and the candidates examined never exceed it.
 All three measures are edge-monotone, so the edge-maximal mode is exact
 for extremal values; ``equivalence_check`` keeps that honest.
 """
@@ -118,7 +122,9 @@ class BudgetExceededError(RuntimeError):
         self.examined = examined
 
 
-# level cache: (pattern_key, n) -> tuple of canonical Graphs
+# level cache: (pattern_key, n) -> (canonical Graphs, their automorphisms);
+# each class keeps what graphs._canonical returned for it, the empty tuple
+# when it found none
 _LEVELS: dict = {}
 
 
@@ -142,18 +148,28 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return graphs._unchecked(n + 1, tuple(rows))
 
 
-def _twin_masks(parent: Graph) -> list:
-    """The masks whose intersection with each twin class of ``parent`` is
-    that class's lowest vertices; every mask is the image of one of them
-    under an automorphism that permutes twins."""
-    masks = [0]
-    rest = (1 << parent.n) - 1
-    for cls in graphs.twin_classes(parent.adj):
+def _twin_prefixes(adj) -> list:
+    """(vertex mask, masks of its lowest 0, 1, ..., all vertices) for each
+    twin class of ``graphs.twin_classes(adj)``."""
+    out = []
+    for cls in graphs.twin_classes(adj):
         prefixes = [0]
         for v in cls:
             prefixes.append(prefixes[-1] | 1 << v)
-            rest &= ~(1 << v)
+        out.append((prefixes[-1], prefixes))
+    return out
+
+
+def _twin_masks(n: int, twins) -> list:
+    """The masks on n vertices whose intersection with each twin class is
+    one of that class's prefixes in ``twins`` (see ``_twin_prefixes``);
+    every mask is the image of one of them under an automorphism that
+    permutes twins."""
+    masks = [0]
+    rest = (1 << n) - 1
+    for whole, prefixes in twins:
         masks = [m | p for m in masks for p in prefixes]
+        rest &= ~whole
     while rest:
         bit = rest & -rest
         rest &= rest - 1
@@ -161,21 +177,62 @@ def _twin_masks(parent: Graph) -> list:
     return masks
 
 
-def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
-    """Canonical rows of the accepted children, plus candidates examined.
+def _twin_normal(mask: int, twins) -> int:
+    """The mask of ``_twin_masks`` that a twin permutation takes ``mask`` to."""
+    for whole, prefixes in twins:
+        mask = mask & ~whole | prefixes[(mask & whole).bit_count()]
+    return mask
 
-    A child is kept iff deleting its deletion vertex leaves canonical rows
-    equal to ``parent.adj``, so ``parent`` must be canonically labelled.
-    The deletion vertex maximises (degree, sum of neighbour degrees), ties
+
+def _mask_orbit(mask: int, autos, twins) -> set:
+    """The masks of ``_twin_masks`` in the orbit of ``mask``, one of them,
+    under ``autos`` and the twin transpositions.
+
+    The twin permutations form a normal subgroup, since automorphisms map
+    twin classes onto twin classes, so it suffices to follow each
+    automorphism by ``_twin_normal``."""
+    orbit = {mask}
+    frontier = [mask]
+    while frontier:
+        m = frontier.pop()
+        for a in autos:
+            image = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                image |= 1 << a[low.bit_length() - 1]
+            image = _twin_normal(image, twins)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
+    """Accepted children, as a dict from canonical rows to the
+    automorphisms ``graphs._canonical`` found for them, plus candidates
+    examined.
+
+    ``parent`` must be canonically labelled, and ``autos`` are
+    automorphisms of its rows.  Those its labelling returned generate
+    Aut(P) with the twin transpositions; fewer only split orbits, which
+    costs labellings but accepts the same children.  The
+    deletion vertex maximises (degree, sum of neighbour degrees), ties
     going to the largest canonical position.  One mask per twin-class
-    choice is tried; masks that contain a forbidden set, then masks whose
-    new vertex some parent vertex beats on that key, are dropped before
-    any child is built.  ``examined`` still counts every mask.
+    choice is considered; masks that contain a forbidden set, then masks
+    whose new vertex some parent vertex beats on that key, are dropped
+    before any child is built.  Of the rest, one mask per orbit of Aut(P)
+    is labelled, and its child is kept iff the new vertex lies in the
+    orbit of the deletion vertex under the child's automorphisms.  Every
+    filter is invariant under Aut(P), so an orbit passes or fails whole.
+    ``examined`` still counts every mask.
     """
     n = parent.n
     adj = parent.adj
     examined = 1 << n
-    masks = _twin_masks(parent)
+    twins = _twin_prefixes(adj)
+    masks = _twin_masks(n, twins)
     if f is not None:
         forbidden = forbidden_sets(parent, f.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
@@ -189,10 +246,12 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
     top = of_degree[dmax]
     masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
     nsums = [sum(degrees[j] for j in parent.neighbors(i)) for i in range(n)]
-    parent_degrees = sorted(degrees)
-    accepted = set()
-    seen = set()
+    accepted = {}
+    # masks in the orbit of one already labelled
+    labelled = set()
     for mask in masks:
+        if mask in labelled:
+            continue
         k = mask.bit_count()
         # the parent vertices of child degree k: degree k outside M, k - 1 in M
         rivals = (of_degree[k] & ~mask) | (of_degree[k - 1] & mask)
@@ -208,23 +267,27 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern]) -> tuple:
             if max(sums.values()) > key:
                 continue
             ties = sum(1 << i for i, s in sums.items() if s == key)
+        if autos:
+            labelled |= _mask_orbit(mask, autos, twins)
         child = _extend(parent, mask)
-        rows, perm = graphs._canonical(child.n, child.adj)
-        # the verdict depends only on the class, so a class seen before is skipped
-        if rows in seen:
-            continue
-        seen.add(rows)
+        rows, perm, child_autos = graphs._canonical(child.n, child.adj)
         if ties:
             ties |= 1 << n
             w = next(v for v in reversed(perm) if ties >> v & 1)
             # child - n is the parent itself, so only w != n needs a test
             if w != n:
-                rest = child.delete_vertex(w)
-                if sorted(row.bit_count() for row in rest.adj) != parent_degrees:
+                # the orbit of w as a one-vertex mask, twins taken to the lowest
+                child_twins = _twin_prefixes(rows)
+                w_orbit = _mask_orbit(
+                    _twin_normal(1 << perm.index(w), child_twins),
+                    child_autos,
+                    child_twins,
+                )
+                if _twin_normal(1 << perm.index(n), child_twins) not in w_orbit:
                     continue
-                if graphs._canonical(n, rest.adj)[0] != adj:
-                    continue
-        accepted.add(rows)
+        # stored with the level: a byte per position (n <= HARD_CAP) takes
+        # less memory than a tuple of ints
+        accepted[rows] = tuple(map(bytes, child_autos))
     return accepted, examined
 
 
@@ -233,29 +296,32 @@ def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
     n - 1 vertices with all 2**(n - 1) masks; level n - 1 must be cached."""
     if n == 1:
         return 1
-    return len(_LEVELS[(_pattern_key(f), n - 1)]) << (n - 1)
+    return len(_LEVELS[(_pattern_key(f), n - 1)][0]) << (n - 1)
 
 
 def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
-    """Representatives of F-free classes on n vertices, sorted by canonical
-    graph6 and stored on their canonical rows; level n - 1 must be cached."""
+    """Representatives of F-free classes on n vertices, in canonical graph6
+    order and stored on their canonical rows, with their automorphisms
+    beside them; level n - 1 must be cached."""
     key = (_pattern_key(f), n)
     hit = _LEVELS.get(key)
     if hit is not None:
-        return hit
+        return hit[0]
     if n == 1:
         g = graphs.empty(1)
         reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
+        autos = ((),) * len(reps)
     else:
-        rows = []
-        for parent in _LEVELS[(key[0], n - 1)]:
-            rows.extend(_children(parent, f)[0])
+        found = {}
+        for parent, parent_autos in zip(*_LEVELS[(key[0], n - 1)]):
+            found.update(_children(parent, f, parent_autos)[0])
         # each class has exactly one parent, so sorting makes the order
         # independent of the deletion rule
         reps = tuple(
-            sorted((graphs._unchecked(n, r) for r in rows), key=graphs.to_graph6)
+            sorted((graphs._unchecked(n, r) for r in found), key=graphs.order_key)
         )
-    _LEVELS[key] = reps
+        autos = tuple(found[g.adj] for g in reps)
+    _LEVELS[key] = (reps, autos)
     return reps
 
 

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qturan import graphs, spectra, verify
+from qturan import graphs, search, spectra, verify
+from qturan.patterns import forbidden_sets
 
 
 def all_labeled_graphs(n):
@@ -149,6 +150,134 @@ def reference_canonical(n, adj):
 
     rec(initial)
     return best[0], best[1]
+
+
+# -- reference graph6 encoder ---------------------------------------------
+# graphs.to_graph6 as it stood before it was built from graphs.order_key:
+# bit by bit, six at a time.
+
+
+def reference_to_graph6(g):
+    if g.n <= 62:
+        head = chr(63 + g.n)
+    else:
+        head = "~" + "".join(chr(63 + ((g.n >> s) & 0x3F)) for s in (12, 6, 0))
+    bits = []
+    for j in range(1, g.n):
+        col = g.adj[j]
+        for i in range(j):
+            bits.append((col >> i) & 1)
+    out = [head]
+    for k in range(0, len(bits), 6):
+        chunk = bits[k : k + 6]
+        chunk += [0] * (6 - len(chunk))
+        val = 0
+        for b in chunk:
+            val = (val << 1) | b
+        out.append(chr(63 + val))
+    return "".join(out)
+
+
+# -- reference augmentation ------------------------------------------------
+# search._children as it stood before masks were cut to one per orbit of
+# Aut(P): every twin-normal mask that passes the filters is labelled, a
+# class already labelled from the same parent is skipped, and on a tie the
+# child minus its deletion vertex is compared with the parent, after a
+# sorted-degree pre-check.  search._children must accept the same classes.
+
+
+def _reference_twin_masks(parent):
+    masks = [0]
+    rest = (1 << parent.n) - 1
+    for cls in graphs.twin_classes(parent.adj):
+        prefixes = [0]
+        for v in cls:
+            prefixes.append(prefixes[-1] | 1 << v)
+            rest &= ~(1 << v)
+        masks = [m | p for m in masks for p in prefixes]
+    while rest:
+        bit = rest & -rest
+        rest &= rest - 1
+        masks += [m | bit for m in masks]
+    return masks
+
+
+def reference_children(parent, f):
+    """(set of the accepted children's canonical rows, masks examined)."""
+    n = parent.n
+    adj = parent.adj
+    examined = 1 << n
+    masks = _reference_twin_masks(parent)
+    if f is not None:
+        forbidden = forbidden_sets(parent, f.graph)
+        masks = [m for m in masks if all(s & ~m for s in forbidden)]
+    degrees = [row.bit_count() for row in adj]
+    dmax = max(degrees)
+    of_degree = [0] * (n + 1)
+    for v, d in enumerate(degrees):
+        of_degree[d] |= 1 << v
+    top = of_degree[dmax]
+    masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
+    nsums = [sum(degrees[j] for j in parent.neighbors(i)) for i in range(n)]
+    parent_degrees = sorted(degrees)
+    accepted = set()
+    seen = set()
+    for mask in masks:
+        k = mask.bit_count()
+        rivals = (of_degree[k] & ~mask) | (of_degree[k - 1] & mask)
+        ties = 0
+        if rivals:
+            key = k + sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+            sums = {
+                i: nsums[i] + (adj[i] & mask).bit_count() + (k if mask >> i & 1 else 0)
+                for i in range(n)
+                if rivals >> i & 1
+            }
+            if max(sums.values()) > key:
+                continue
+            ties = sum(1 << i for i, s in sums.items() if s == key)
+        child = search._extend(parent, mask)
+        rows, perm = graphs._canonical(child.n, child.adj)[:2]
+        if rows in seen:
+            continue
+        seen.add(rows)
+        if ties:
+            ties |= 1 << n
+            w = next(v for v in reversed(perm) if ties >> v & 1)
+            if w != n:
+                rest = child.delete_vertex(w)
+                if sorted(row.bit_count() for row in rest.adj) != parent_degrees:
+                    continue
+                if graphs._canonical(n, rest.adj)[0] != adj:
+                    continue
+        accepted.add(rows)
+    return accepted, examined
+
+
+# -- automorphism groups ----------------------------------------------------
+
+
+def group_order(n, gens):
+    """Order of the permutation group on range(n) generated by ``gens``,
+    closed by breadth-first search from the identity."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+def automorphism_order_naive(g):
+    """|Aut(g)| by trying every vertex permutation."""
+    return sum(
+        1 for p in itertools.permutations(range(g.n)) if g.relabel(p).adj == g.adj
+    )
 
 
 # -- reference checkers -----------------------------------------------------

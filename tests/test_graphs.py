@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from qturan import graphs, search
 from tests.conftest import (
     all_labeled_graphs,
+    automorphism_order_naive,
     canonical_graph,
+    group_order,
     reference_adjacency_matrix,
     reference_canonical,
+    reference_to_graph6,
 )
 
 
@@ -156,6 +159,33 @@ class TestGraph6:
         with pytest.raises(graphs.Graph6Error):
             graphs.from_graph6("")
 
+    def test_matches_reference_encoder(self):
+        # the encoder built from order_key writes the bytes of the bit-by-bit
+        # one, long-form header included
+        gs = [g for n in range(1, 8) for g in search.enumerate_free(n)]
+        rng = np.random.default_rng(18)
+        for _ in range(150):
+            n = int(rng.integers(1, 131))
+            gs.append(graphs.random_graph(n, float(rng.uniform(0, 1)), rng))
+        for g in gs:
+            assert graphs.to_graph6(g) == reference_to_graph6(g), g.adj
+
+    def test_order_key_orders_as_graph6(self):
+        # for a fixed n the key is the graph6 body read as one number, so
+        # levels sorted by it are in graph6 order
+        for n in range(1, 8):
+            reps = search.enumerate_free(n)
+            for g in reps:
+                nbits = n * (n - 1) // 2
+                body = "".join(
+                    f"{ord(ch) - 63:06b}" for ch in reference_to_graph6(g)[1:]
+                )
+                assert graphs.order_key(g) == int(body[:nbits] or "0", 2)
+            shuffled = list(reversed(reps))
+            assert sorted(shuffled, key=graphs.order_key) == sorted(
+                shuffled, key=reference_to_graph6
+            )
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**15 - 1), st.integers(2, 7))
     def test_roundtrip_property(self, bits, n):
@@ -220,6 +250,56 @@ class TestCanonical:
                 g.relabel(perm)
 
 
+def _generators(g):
+    """The automorphisms _canonical returns for g, checked to be
+    automorphisms of its canonical rows, plus the twin transpositions."""
+    rows, _, autos = graphs._canonical(g.n, g.adj)
+    for a in autos:
+        assert sorted(a) == list(range(g.n))
+        for i in range(g.n):
+            image = sum(1 << a[j] for j in range(g.n) if rows[i] >> j & 1)
+            assert rows[a[i]] == image
+    gens = list(autos)
+    for cls in graphs.twin_classes(rows):
+        for u, v in zip(cls, cls[1:]):
+            swap = list(range(g.n))
+            swap[u], swap[v] = v, u
+            gens.append(tuple(swap))
+    return gens
+
+
+class TestAutomorphisms:
+    """The automorphisms _canonical returns, with the twin transpositions,
+    generate Aut(G): search._children relies on this for its orbits."""
+
+    def test_every_class_to_six_vertices(self):
+        for n in range(1, 7):
+            for g in search.enumerate_free(n):
+                assert group_order(n, _generators(g)) == automorphism_order_naive(g)
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [
+            (graphs.petersen(), 120),
+            (graphs.disjoint_union([graphs.cycle(5)] * 3), 6000),
+            (graphs.cycle(12), 24),
+        ],
+        ids=["petersen", "3C5", "C12"],
+    )
+    def test_twin_free_graphs(self, g, order):
+        # no twins here, so the returned automorphisms generate alone
+        assert not graphs.twin_classes(g.adj)
+        assert group_order(g.n, _generators(g)) == order
+
+    def test_twin_swaps_are_left_to_the_transpositions(self):
+        # the path's one flip is a leaf equal to the winner, but a group of
+        # twin swaps alone (K5, the empty graph, K2_3) is never met as a
+        # leaf, since the search skips twins
+        assert len(graphs._canonical(4, graphs.path(4).adj)[2]) == 1
+        for g in (graphs.complete(5), graphs.empty(5), graphs.complete_bipartite(2, 3)):
+            assert graphs._canonical(g.n, g.adj)[2] == ()
+
+
 class TestCanonicalMatchesReference:
     """graphs._canonical returns the (rows, perm) of the reference labelling
     in tests/conftest.py, perm included, since search._children picks its
@@ -227,7 +307,7 @@ class TestCanonicalMatchesReference:
 
     @staticmethod
     def assert_same(g):
-        assert graphs._canonical(g.n, g.adj) == reference_canonical(g.n, g.adj), g
+        assert graphs._canonical(g.n, g.adj)[:2] == reference_canonical(g.n, g.adj), g
 
     def test_every_class_to_seven_vertices_relabelled(self):
         rng = np.random.default_rng(2024)

@@ -22,6 +22,8 @@ from tests.conftest import (
     canonical_graph,
     classes_naive,
     isomorphic_naive,
+    reference_children,
+    reference_to_graph6,
 )
 
 
@@ -74,9 +76,13 @@ class TestEnumeration:
         assert calls == []
 
     def test_labelling_count_pinned(self, monkeypatch):
-        # the deletion key and the twin filter leave 1791 labellings for
-        # the 1252 classes with n <= 7, where the maximum-degree rule alone
-        # made 3929; a second labelling per child would show here
+        # one mask per orbit of Aut(P) and the orbit parent test leave 1306
+        # labellings for the 1251 classes with 2 <= n <= 7: each is accepted
+        # from one labelling, and 55 children of classes accepted from another
+        # orbit of masks are rejected because the new vertex is not in the
+        # orbit of the deletion vertex.  The earlier rule (reference_children
+        # in tests/conftest.py) made 1791; an orbit lost from the stored
+        # automorphisms would show here
         search.clear_caches()
         calls = []
         real = graphs._canonical
@@ -87,7 +93,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(graphs, "_canonical", counting)
         enumerate_free(7)
-        assert len(calls) == 1791
+        assert len(calls) == 1306
         search.clear_caches()
 
     def test_triangle_free_classes_match_oracle(self):
@@ -193,7 +199,7 @@ class TestEnumeration:
             assert search._cost(f, 1) == 1
             for k in range(2, 8):
                 parents = search._level(f, k - 1)
-                examined = sum(search._children(p, f)[1] for p in parents)
+                examined = sum(search._children(p, f, ())[1] for p in parents)
                 assert search._cost(f, k) == examined, (f, k)
 
 
@@ -235,6 +241,58 @@ class TestDeletionRule:
                 assert sorted(forms) == expected, (f, n)
 
 
+class TestOrbitAugmentation:
+    """search._children labels one mask per orbit of Aut(P) and tests the
+    parent by orbit; the earlier rule in tests/conftest.py is the oracle."""
+
+    def test_levels_match_reference_children(self):
+        from qturan.patterns import PATTERN_NAMES
+
+        for f in (None, *map(pattern_by_name, PATTERN_NAMES)):
+            level = search._level(f, 1)
+            for n in range(2, 8):
+                found = set()
+                examined = 0
+                for parent in level:
+                    rows, count = reference_children(parent, f)
+                    found |= rows
+                    examined += count
+                level = sorted(
+                    (graphs._unchecked(n, r) for r in found), key=reference_to_graph6
+                )
+                reps = enumerate_free(n, f)
+                assert [g.adj for g in reps] == [g.adj for g in level], (f, n)
+                assert search._cost(f, n) == examined, (f, n)
+
+    def test_every_accepted_class_is_labelled_once(self, monkeypatch):
+        # the stored automorphisms are automorphisms of the parent's rows and
+        # cut its masks to one per orbit of Aut(P), so each accepted class is
+        # labelled once from its parent; without them the twin-normal masks
+        # of one orbit are all labelled, and the same classes are accepted
+        real = graphs._canonical
+        labelled = []
+
+        def recording(n, adj):
+            out = real(n, adj)
+            labelled.append(out[0])
+            return out
+
+        for f in (None, pattern_by_name("C4")):
+            enumerate_free(7, f)
+            monkeypatch.setattr(graphs, "_canonical", recording)
+            for n in range(1, 7):
+                reps, autos = search._LEVELS[(search._pattern_key(f), n)]
+                for parent, stored in zip(reps, autos):
+                    for a in stored:
+                        assert parent.relabel(list(a)).adj == parent.adj
+                    labelled.clear()
+                    accepted, _ = search._children(parent, f, stored)
+                    assert all(labelled.count(rows) == 1 for rows in accepted)
+                    plain, _ = search._children(parent, f, ())
+                    assert set(accepted) == set(plain)
+            monkeypatch.setattr(graphs, "_canonical", real)
+
+
 class TestTwinClasses:
     def test_classes_are_disjoint_automorphism_classes(self):
         for n in range(1, 7):
@@ -255,7 +313,7 @@ class TestTwinClasses:
         for n in range(1, 7):
             for parent in enumerate_free(n):
                 classes = graphs.twin_classes(parent.adj)
-                kept = search._twin_masks(parent)
+                kept = search._twin_masks(n, search._twin_prefixes(parent.adj))
                 assert len(kept) == len(set(kept))
                 normal = set()
                 for mask in range(1 << n):
