@@ -415,6 +415,34 @@ def twin_classes(adj) -> tuple:
     return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
 
 
+def orbits(adj, autos) -> list:
+    """The orbit of each vertex, as a vertex mask, under the group that
+    ``autos`` (permutations a of the vertices, a[v] the image of v) and the
+    twin transpositions of ``twin_classes(adj)`` generate.
+
+    The orbits of a group are the classes of the relation that joins each
+    vertex to its image under each generator.  With the automorphisms
+    ``_canonical`` returns, on its rows, this is the orbit partition of
+    Aut(G).
+    """
+    orbit = [1 << v for v in range(len(adj))]
+    # twin classes are disjoint, so each starts as one orbit
+    for cls in twin_classes(adj):
+        merged = sum(1 << v for v in cls)
+        for v in cls:
+            orbit[v] = merged
+    for a in autos:
+        for u, v in enumerate(a):
+            if not orbit[u] >> v & 1:
+                merged = orbit[u] | orbit[v]
+                m = merged
+                while m:
+                    low = m & -m
+                    m ^= low
+                    orbit[low.bit_length() - 1] = merged
+    return orbit
+
+
 def _refine(adj, cells, splitters):
     """Equitable refinement of an ordered partition of vertex bitmasks.
 

@@ -3,11 +3,13 @@
 Containment is plain subgraph containment (not induced): F fits in a host
 iff some injection of V(F) sends every edge of F to a host edge.  Patterns
 are tiny, so one backtracker over bitmask rows answers every embedding
-question.  It follows a plan per anchor vertex p of F: p first, then its
-neighbours, then the rest, each part ordered by edges to the vertices
-already placed.  The same plans decide containment, anchored containment
-and the forbidden neighbourhoods of canonical augmentation; the naive
-matcher in ``tests/conftest.py`` is the test oracle for all of them.
+question.  It follows a plan per anchor vertex p of F, one anchor per
+orbit of Aut(F) (``graphs.orbits``): p first, then its neighbours, then
+the rest, each part ordered by edges to the vertices already placed.
+The same plans decide containment, anchored containment and the
+forbidden neighbourhoods of canonical augmentation; the naive matcher in
+``tests/conftest.py`` is the test oracle for all of them, and the
+twin-anchor plans kept there are the oracle for the forbidden sets.
 """
 
 from __future__ import annotations
@@ -51,35 +53,38 @@ def _pattern_graph(f) -> Graph:
 def _plans(pg: Graph) -> tuple:
     """One embedding plan ``(k, back)`` per anchor vertex p of F.
 
-    Each twin class (``graphs.twin_classes``) gives one anchor, its lowest
-    vertex: twins are swapped by a transposition automorphism, which is
-    enough when a single host vertex is fixed.  The order puts p in slot
-    0, p's k neighbours in slots 1..k and the rest after them; within each
-    part it takes the vertex with the most edges to those already placed,
-    ties broken by degree.  ``back[d]`` lists the earlier slots adjacent
-    to slot d.
+    F is labelled once by ``graphs._canonical``, and each orbit of Aut(F)
+    on its canonical rows (``graphs.orbits``) gives one anchor, its lowest
+    vertex.  That is exact: if an automorphism s maps p to p', an
+    embedding phi with p' on a host vertex gives the embedding phi o s
+    with p on it, and phi(N_F(p')) = (phi o s)(N_F(p)).  The order puts p
+    in slot 0, p's k neighbours in slots 1..k and the rest after them;
+    within each part it takes the vertex with the most edges to those
+    already placed, ties broken by degree.  ``back[d]`` lists the earlier
+    slots adjacent to slot d.
     """
-    twins = {v for cls in graphs.twin_classes(pg.adj) for v in cls[1:]}
-    anchors = [p for p in range(pg.n) if p not in twins]
+    adj, _, autos = graphs._canonical(pg.n, pg.adj)
     plans = []
-    for p in anchors:
-        nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]
-        others = [u for u in range(pg.n) if u != p and not (pg.adj[p] >> u) & 1]
+    for p, orbit in enumerate(graphs.orbits(adj, autos)):
+        if orbit & -orbit != 1 << p:
+            continue
+        nbrs = [u for u in range(pg.n) if (adj[p] >> u) & 1]
+        others = [u for u in range(pg.n) if u != p and not (adj[p] >> u) & 1]
         order = [p]
         for group in (nbrs, others):
             while group:
                 placed = sum(1 << u for u in order)
                 u = max(
                     group,
-                    key=lambda u: ((pg.adj[u] & placed).bit_count(), pg.degree(u)),
+                    key=lambda u: ((adj[u] & placed).bit_count(), adj[u].bit_count()),
                 )
                 group.remove(u)
                 order.append(u)
         back = tuple(
-            tuple(j for j in range(d) if pg.has_edge(order[j], u))
+            tuple(j for j in range(d) if (adj[order[j]] >> u) & 1)
             for d, u in enumerate(order)
         )
-        plans.append((pg.degree(p), back))
+        plans.append((adj[p].bit_count(), back))
     return tuple(plans)
 
 

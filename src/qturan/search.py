@@ -20,7 +20,8 @@ Every filter is invariant under Aut(P), so one mask per orbit of Aut(P)
 is labelled.  If the new vertex is the unique maximum, the child is
 accepted, since the child minus it is the parent.  On a tie the labelling
 names the deletion vertex w, and the child is accepted iff the new vertex
-lies in the orbit of w under the child's automorphism group.  A class
+lies in the orbit of w under the child's automorphism group, one
+membership test in the vertex orbits of ``graphs.orbits``.  A class
 then has one parent class and one orbit of that parent's masks that
 gives it, so it is accepted once.  Both groups come from
 ``graphs._canonical``, which returns automorphisms that, with the twin
@@ -274,16 +275,11 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
         if ties:
             ties |= 1 << n
             w = next(v for v in reversed(perm) if ties >> v & 1)
-            # child - n is the parent itself, so only w != n needs a test
+            # child - n is the parent itself, so only w != n needs a test;
+            # the orbits are of canonical positions, where child_autos act
             if w != n:
-                # the orbit of w as a one-vertex mask, twins taken to the lowest
-                child_twins = _twin_prefixes(rows)
-                w_orbit = _mask_orbit(
-                    _twin_normal(1 << perm.index(w), child_twins),
-                    child_autos,
-                    child_twins,
-                )
-                if _twin_normal(1 << perm.index(n), child_twins) not in w_orbit:
+                w_orbit = graphs.orbits(rows, child_autos)[perm.index(w)]
+                if not w_orbit >> perm.index(n) & 1:
                     continue
         # stored with the level: a byte per position (n <= HARD_CAP) takes
         # less memory than a tuple of ints

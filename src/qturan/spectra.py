@@ -3,12 +3,13 @@
 q(G) is the top eigenvalue of Q(G) = D(G) + A(G), lambda(G) that of A(G).
 Values come from LAPACK: ``top_eigenvalues`` solves a list of graphs in
 stacked ``eigvalsh`` blocks, and ``dense_q_value`` and ``dense_lambda_value``
-are its one-graph calls.  Perron vectors come from ``spectral_radius``,
-which runs power iteration (on A + delta*I for the adjacency, against sign
-flips on bipartite spectra; ``eigh`` is the fallback) on each component's
-block: the largest value wins, an exact tie goes to the smaller canonical
-form, and the vector is zero off the winner.  ``_kernels.power_iteration`` stops at
-residual ``TOL`` and sums in a fixed order, which pins the last bits of the
+solve one graph with one ``eigvalsh`` call, to the same bits.  Perron
+vectors come from ``spectral_radius``, which runs power iteration (on
+A + delta*I for the adjacency, against sign flips on bipartite spectra;
+``eigh`` is the fallback) on each component's block: the largest value
+wins, an exact tie goes to the smaller canonical form, and the vector is
+zero off the winner.  ``_kernels.power_iteration`` stops at residual
+``TOL`` and sums in a fixed order, which pins the last bits of the
 printed fields read from it: ``mu_sq_times_n`` of ``table``, the values of
 ``lemma22``, the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
 """
@@ -148,11 +149,11 @@ def top_eigenvalues(gs, kind: str = SIGNLESS_LAPLACIAN) -> list:
 
 
 def dense_q_value(g: graphs.Graph) -> float:
-    return top_eigenvalues([g], SIGNLESS_LAPLACIAN)[0]
+    return float(np.linalg.eigvalsh(matrix_of(g, SIGNLESS_LAPLACIAN))[-1])
 
 
 def dense_lambda_value(g: graphs.Graph) -> float:
-    return top_eigenvalues([g], ADJACENCY)[0]
+    return float(np.linalg.eigvalsh(matrix_of(g, ADJACENCY))[-1])
 
 
 def rayleigh_q(g: graphs.Graph, x) -> float:

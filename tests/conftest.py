@@ -254,6 +254,38 @@ def reference_children(parent, f):
     return accepted, examined
 
 
+# -- reference embedding plans ----------------------------------------------
+# patterns._plans as it stood before it took one anchor per orbit of Aut(F):
+# one anchor per twin class, on F's own labels.  forbidden_sets must give
+# the same sets under both.
+
+
+def reference_plans(pg):
+    twins = {v for cls in graphs.twin_classes(pg.adj) for v in cls[1:]}
+    plans = []
+    for p in range(pg.n):
+        if p in twins:
+            continue
+        nbrs = [u for u in range(pg.n) if (pg.adj[p] >> u) & 1]
+        others = [u for u in range(pg.n) if u != p and not (pg.adj[p] >> u) & 1]
+        order = [p]
+        for group in (nbrs, others):
+            while group:
+                placed = sum(1 << u for u in order)
+                u = max(
+                    group,
+                    key=lambda u: ((pg.adj[u] & placed).bit_count(), pg.degree(u)),
+                )
+                group.remove(u)
+                order.append(u)
+        back = tuple(
+            tuple(j for j in range(d) if pg.has_edge(order[j], u))
+            for d, u in enumerate(order)
+        )
+        plans.append((pg.degree(p), back))
+    return tuple(plans)
+
+
 # -- automorphism groups ----------------------------------------------------
 
 
@@ -278,6 +310,45 @@ def automorphism_order_naive(g):
     return sum(
         1 for p in itertools.permutations(range(g.n)) if g.relabel(p).adj == g.adj
     )
+
+
+def orbits_naive(n, adj):
+    """Each vertex's orbit, as a vertex mask, under Aut of the graph on
+    ``adj``, found by trying every vertex map that keeps adjacency and
+    non-adjacency.  Vertices are mapped in breadth-first order, so each
+    vertex after the first of its component has a mapped neighbour."""
+    order = []
+    for s in range(n):
+        if s in order:
+            continue
+        queue = [s]
+        order.append(s)
+        for v in queue:
+            for u in range(n):
+                if adj[v] >> u & 1 and u not in order:
+                    order.append(u)
+                    queue.append(u)
+    full = (1 << n) - 1
+    orbit = [0] * n
+    image = [0] * n
+
+    def rec(d, used):
+        if d == n:
+            for v in range(n):
+                orbit[v] |= 1 << image[v]
+            return
+        v = order[d]
+        cand = full & ~used
+        for u in order[:d]:
+            cand &= adj[image[u]] if adj[v] >> u & 1 else ~adj[image[u]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[v] = low.bit_length() - 1
+            rec(d + 1, used | low)
+
+    rec(0, 0)
+    return orbit
 
 
 # -- reference checkers -----------------------------------------------------

@@ -9,6 +9,7 @@ from tests.conftest import (
     automorphism_order_naive,
     canonical_graph,
     group_order,
+    orbits_naive,
     reference_adjacency_matrix,
     reference_canonical,
     reference_to_graph6,
@@ -270,12 +271,19 @@ def _generators(g):
 
 class TestAutomorphisms:
     """The automorphisms _canonical returns, with the twin transpositions,
-    generate Aut(G): search._children relies on this for its orbits."""
+    generate Aut(G), and graphs.orbits turns them into its vertex orbits:
+    search._children and patterns._plans rely on both."""
+
+    @staticmethod
+    def assert_orbits(g):
+        rows, _, autos = graphs._canonical(g.n, g.adj)
+        assert graphs.orbits(rows, autos) == orbits_naive(g.n, rows), g
 
     def test_every_class_to_six_vertices(self):
         for n in range(1, 7):
             for g in search.enumerate_free(n):
                 assert group_order(n, _generators(g)) == automorphism_order_naive(g)
+                self.assert_orbits(g)
 
     @pytest.mark.parametrize(
         "g, order",
@@ -290,6 +298,7 @@ class TestAutomorphisms:
         # no twins here, so the returned automorphisms generate alone
         assert not graphs.twin_classes(g.adj)
         assert group_order(g.n, _generators(g)) == order
+        self.assert_orbits(g)
 
     def test_twin_swaps_are_left_to_the_transpositions(self):
         # the path's one flip is a leaf equal to the winner, but a group of

@@ -12,7 +12,12 @@ from qturan.patterns import (
     pattern_by_name,
     parse_pattern,
 )
-from tests.conftest import all_labeled_graphs, classes_naive, contains_subgraph_naive
+from tests.conftest import (
+    all_labeled_graphs,
+    classes_naive,
+    contains_subgraph_naive,
+    reference_plans,
+)
 
 
 class TestContainment:
@@ -101,6 +106,30 @@ class TestContainment:
                     continue
                 found += 1
                 assert contains_subgraph(g, f) == contains_subgraph(g, f, anchor=6)
+
+
+class TestPlans:
+    """One plan per orbit of Aut(F) gives the forbidden sets of one plan
+    per twin class (reference_plans in tests/conftest.py)."""
+
+    PLAN_COUNTS = {
+        "K3": 1, "K4": 1, "K5": 1, "C4": 1, "C5": 1, "C6": 1, "C7": 1,
+        "petersen": 1, "K1_2": 2, "K1_3": 2, "K1_4": 2, "K2_3": 2,
+    }
+
+    def test_one_plan_per_orbit(self):
+        assert set(self.PLAN_COUNTS) == set(patterns.PATTERN_NAMES)
+        for name, count in self.PLAN_COUNTS.items():
+            assert len(patterns._plans(pattern_by_name(name).graph)) == count, name
+
+    @pytest.mark.parametrize("name", patterns.PATTERN_NAMES)
+    def test_forbidden_sets_match_the_twin_plans(self, name, monkeypatch):
+        f = pattern_by_name(name)
+        parents = [g for n in range(1, 7) for g in search.enumerate_free(n, f)]
+        orbit_sets = [set(patterns.forbidden_sets(g, f.graph)) for g in parents]
+        monkeypatch.setattr(patterns, "_plans", reference_plans)
+        twin_sets = [set(patterns.forbidden_sets(g, f.graph)) for g in parents]
+        assert orbit_sets == twin_sets
 
 
 class TestChromatic:

@@ -36,11 +36,14 @@ class TestEnumeration:
 
     # SHA-256 of the sorted graph6 strings at n = 8, joined by "\n", as
     # the earlier deletion rule enumerated them; the old-rule oracle below
-    # stops at n = 7
+    # stops at n = 7.  C6 (1541 classes) and C7 (3139) were taken from the
+    # twin-anchor embedding plans, before plans took one anchor per orbit
     N8_SHA256 = {
         None: "51f2b95930d702ada5054f3ad801bae0e43ff9b27eadad94108a0667b4e99b58",
         "K4": "0f7ad39efa06ac2099e815ee7f9ac9f37f140df3fca7c5d6a38ca02613416417",
         "C5": "0c684382abbc7c6a7e426adf294efccef7a69ccf0c396bfa9fda460165a7408e",
+        "C6": "673c86853d9ddc9b0506e7789cd00a7328dcc809a521f485160ac36891849e33",
+        "C7": "b6e97b3fa64cf37f9276e5e1d9939b013a44838e15207fea29d5c4d5c40e3097",
     }
 
     @pytest.mark.parametrize("name", list(N8_SHA256), ids=str)
@@ -263,6 +266,20 @@ class TestOrbitAugmentation:
                 reps = enumerate_free(n, f)
                 assert [g.adj for g in reps] == [g.adj for g in level], (f, n)
                 assert search._cost(f, n) == examined, (f, n)
+
+    def test_each_class_is_accepted_from_one_parent(self):
+        # on a tie, a child is accepted iff its new vertex lies in the orbit
+        # of its deletion vertex; a level merges children on their rows, so
+        # a class accepted twice shows only in the count over all parents
+        for f in (None, pattern_by_name("K4"), pattern_by_name("C5")):
+            enumerate_free(7, f)
+            for n in range(2, 8):
+                reps, autos = search._LEVELS[(search._pattern_key(f), n - 1)]
+                accepted = sum(
+                    len(search._children(parent, f, stored)[0])
+                    for parent, stored in zip(reps, autos)
+                )
+                assert accepted == len(enumerate_free(n, f)), (f, n)
 
     def test_every_accepted_class_is_labelled_once(self, monkeypatch):
         # the stored automorphisms are automorphisms of the parent's rows and

@@ -27,6 +27,8 @@ class TestTopEigenvalues:
         assert len(gs) > spectra.BLOCK
         values = spectra.top_eigenvalues(gs, kind)
         assert [v.hex() for v in values] == [eigvalsh_top(g, kind).hex() for g in gs]
+        one = spectra.dense_q_value if kind == "q" else spectra.dense_lambda_value
+        assert [one(g).hex() for g in gs] == [v.hex() for v in values]
 
     @pytest.mark.parametrize("kind", ["q", "adjacency"])
     def test_disconnected_graphs_and_k1(self, kind):
