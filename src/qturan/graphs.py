@@ -415,32 +415,53 @@ def twin_classes(adj) -> tuple:
     return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
 
 
-def orbits(adj, autos) -> list:
-    """The orbit of each vertex, as a vertex mask, under the group that
-    ``autos`` (permutations a of the vertices, a[v] the image of v) and the
-    twin transpositions of ``twin_classes(adj)`` generate.
-
-    The orbits of a group are the classes of the relation that joins each
-    vertex to its image under each generator.  With the automorphisms
-    ``_canonical`` returns, on its rows, this is the orbit partition of
-    Aut(G).
-    """
-    orbit = [1 << v for v in range(len(adj))]
-    # twin classes are disjoint, so each starts as one orbit
+def twin_prefixes(adj) -> list:
+    """(vertex mask, masks of its lowest 0, 1, ..., all vertices) for each
+    twin class of ``twin_classes(adj)``."""
+    out = []
     for cls in twin_classes(adj):
-        merged = sum(1 << v for v in cls)
+        prefixes = [0]
         for v in cls:
-            orbit[v] = merged
-    for a in autos:
-        for u, v in enumerate(a):
-            if not orbit[u] >> v & 1:
-                merged = orbit[u] | orbit[v]
-                m = merged
-                while m:
-                    low = m & -m
-                    m ^= low
-                    orbit[low.bit_length() - 1] = merged
-    return orbit
+            prefixes.append(prefixes[-1] | 1 << v)
+        out.append((prefixes[-1], prefixes))
+    return out
+
+
+def twin_normal(mask: int, twins) -> int:
+    """The image of ``mask`` under a twin permutation that meets each twin
+    class of ``twins`` (see ``twin_prefixes``) in its lowest vertices."""
+    for whole, prefixes in twins:
+        mask = mask & ~whole | prefixes[(mask & whole).bit_count()]
+    return mask
+
+
+def orbit(mask: int, autos, twins) -> set:
+    """The twin-normal masks (``twin_normal``) in the orbit of the vertex
+    set ``mask`` under ``autos`` (permutations, a[v] the image of v) and
+    the twin transpositions of ``twins``; v's orbit is that of ``1 << v``.
+
+    The twin permutations form a normal subgroup, since automorphisms map
+    twin classes onto twin classes, so it suffices to normalise ``mask`` and
+    follow each automorphism by ``twin_normal``.  With the automorphisms
+    ``_canonical`` returns and the twin classes of its rows, this is Aut(G).
+    """
+    mask = twin_normal(mask, twins)
+    seen = {mask}
+    frontier = [mask]
+    while frontier:
+        m = frontier.pop()
+        for a in autos:
+            image = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                image |= 1 << a[low.bit_length() - 1]
+            image = twin_normal(image, twins)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
 
 
 def _refine(adj, cells, splitters):

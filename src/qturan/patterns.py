@@ -4,7 +4,7 @@ Containment is plain subgraph containment (not induced): F fits in a host
 iff some injection of V(F) sends every edge of F to a host edge.  Patterns
 are tiny, so one backtracker over bitmask rows answers every embedding
 question.  It follows a plan per anchor vertex p of F, one anchor per
-orbit of Aut(F) (``graphs.orbits``): p first, then its neighbours, then
+orbit of Aut(F) (``graphs.orbit``): p first, then its neighbours, then
 the rest, each part ordered by edges to the vertices already placed.
 The same plans decide containment, anchored containment and the
 forbidden neighbourhoods of canonical augmentation; the naive matcher in
@@ -54,8 +54,9 @@ def _plans(pg: Graph) -> tuple:
     """One embedding plan ``(k, back)`` per anchor vertex p of F.
 
     F is labelled once by ``graphs._canonical``, and each orbit of Aut(F)
-    on its canonical rows (``graphs.orbits``) gives one anchor, its lowest
-    vertex.  That is exact: if an automorphism s maps p to p', an
+    on its canonical rows gives one anchor, its lowest vertex: p is an
+    anchor unless {p}, twin-normalised, lies in the ``graphs.orbit`` of an
+    earlier anchor.  That is exact: if an automorphism s maps p to p', an
     embedding phi with p' on a host vertex gives the embedding phi o s
     with p on it, and phi(N_F(p')) = (phi o s)(N_F(p)).  The order puts p
     in slot 0, p's k neighbours in slots 1..k and the rest after them;
@@ -64,10 +65,14 @@ def _plans(pg: Graph) -> tuple:
     slots adjacent to slot d.
     """
     adj, _, autos = graphs._canonical(pg.n, pg.adj)
+    twins = graphs.twin_prefixes(adj)
+    # the twin-normal one-vertex masks in the orbits of the anchors so far
+    covered = set()
     plans = []
-    for p, orbit in enumerate(graphs.orbits(adj, autos)):
-        if orbit & -orbit != 1 << p:
+    for p in range(pg.n):
+        if graphs.twin_normal(1 << p, twins) in covered:
             continue
+        covered |= graphs.orbit(1 << p, autos, twins)
         nbrs = [u for u in range(pg.n) if (adj[p] >> u) & 1]
         others = [u for u in range(pg.n) if u != p and not (adj[p] >> u) & 1]
         order = [p]

@@ -21,7 +21,7 @@ is labelled.  If the new vertex is the unique maximum, the child is
 accepted, since the child minus it is the parent.  On a tie the labelling
 names the deletion vertex w, and the child is accepted iff the new vertex
 lies in the orbit of w under the child's automorphism group, one
-membership test in the vertex orbits of ``graphs.orbits``.  A class
+membership test in the orbit of {w} that ``graphs.orbit`` gives.  A class
 then has one parent class and one orbit of that parent's masks that
 gives it, so it is accepted once.  Both groups come from
 ``graphs._canonical``, which returns automorphisms that, with the twin
@@ -30,8 +30,9 @@ labelling beside its level, so a parent brings its own.
 
 Vertices of the parent with equal open neighbourhoods, or equal closed
 ones, form disjoint classes that Aut(P) permutes freely, so only masks
-that meet each class in that class's lowest vertices are formed, and the
-image of a mask under an automorphism is brought back to that form.
+that meet each class in that class's lowest vertices are formed
+(``graphs.twin_normal``), and ``graphs.orbit``, the one routine that maps
+vertex sets through automorphisms, brings each image back to that form.
 
 Classes are keyed on canonical adjacency rows, and each representative is
 stored unvalidated on its rows, so a parent is its own canonical labelling
@@ -149,21 +150,9 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return graphs._unchecked(n + 1, tuple(rows))
 
 
-def _twin_prefixes(adj) -> list:
-    """(vertex mask, masks of its lowest 0, 1, ..., all vertices) for each
-    twin class of ``graphs.twin_classes(adj)``."""
-    out = []
-    for cls in graphs.twin_classes(adj):
-        prefixes = [0]
-        for v in cls:
-            prefixes.append(prefixes[-1] | 1 << v)
-        out.append((prefixes[-1], prefixes))
-    return out
-
-
 def _twin_masks(n: int, twins) -> list:
     """The masks on n vertices whose intersection with each twin class is
-    one of that class's prefixes in ``twins`` (see ``_twin_prefixes``);
+    one of that class's prefixes in ``twins`` (see ``graphs.twin_prefixes``);
     every mask is the image of one of them under an automorphism that
     permutes twins."""
     masks = [0]
@@ -176,38 +165,6 @@ def _twin_masks(n: int, twins) -> list:
         rest &= rest - 1
         masks += [m | bit for m in masks]
     return masks
-
-
-def _twin_normal(mask: int, twins) -> int:
-    """The mask of ``_twin_masks`` that a twin permutation takes ``mask`` to."""
-    for whole, prefixes in twins:
-        mask = mask & ~whole | prefixes[(mask & whole).bit_count()]
-    return mask
-
-
-def _mask_orbit(mask: int, autos, twins) -> set:
-    """The masks of ``_twin_masks`` in the orbit of ``mask``, one of them,
-    under ``autos`` and the twin transpositions.
-
-    The twin permutations form a normal subgroup, since automorphisms map
-    twin classes onto twin classes, so it suffices to follow each
-    automorphism by ``_twin_normal``."""
-    orbit = {mask}
-    frontier = [mask]
-    while frontier:
-        m = frontier.pop()
-        for a in autos:
-            image = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                image |= 1 << a[low.bit_length() - 1]
-            image = _twin_normal(image, twins)
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit
 
 
 def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
@@ -225,14 +182,15 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
     whose new vertex some parent vertex beats on that key, are dropped
     before any child is built.  Of the rest, one mask per orbit of Aut(P)
     is labelled, and its child is kept iff the new vertex lies in the
-    orbit of the deletion vertex under the child's automorphisms.  Every
-    filter is invariant under Aut(P), so an orbit passes or fails whole.
-    ``examined`` still counts every mask.
+    orbit of the deletion vertex under the child's automorphisms; both
+    orbits come from ``graphs.orbit``.  Every filter is invariant under
+    Aut(P), so an orbit passes or fails whole.  ``examined`` still counts
+    every mask.
     """
     n = parent.n
     adj = parent.adj
     examined = 1 << n
-    twins = _twin_prefixes(adj)
+    twins = graphs.twin_prefixes(adj)
     masks = _twin_masks(n, twins)
     if f is not None:
         forbidden = forbidden_sets(parent, f.graph)
@@ -269,17 +227,20 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
                 continue
             ties = sum(1 << i for i, s in sums.items() if s == key)
         if autos:
-            labelled |= _mask_orbit(mask, autos, twins)
+            labelled |= graphs.orbit(mask, autos, twins)
         child = _extend(parent, mask)
         rows, perm, child_autos = graphs._canonical(child.n, child.adj)
         if ties:
             ties |= 1 << n
             w = next(v for v in reversed(perm) if ties >> v & 1)
             # child - n is the parent itself, so only w != n needs a test;
-            # the orbits are of canonical positions, where child_autos act
+            # the orbit is of canonical positions, where child_autos act
             if w != n:
-                w_orbit = graphs.orbits(rows, child_autos)[perm.index(w)]
-                if not w_orbit >> perm.index(n) & 1:
+                # the child's twin classes; the parent's twins still serve
+                # the masks to come
+                ct = graphs.twin_prefixes(rows)
+                new_vertex = graphs.twin_normal(1 << perm.index(n), ct)
+                if new_vertex not in graphs.orbit(1 << perm.index(w), child_autos, ct):
                     continue
         # stored with the level: a byte per position (n <= HARD_CAP) takes
         # less memory than a tuple of ints

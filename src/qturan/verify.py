@@ -114,6 +114,12 @@ def check_bound_chain(g: Graph) -> CheckReport:
     return _report("bound_chain", subject, lower_v, upper_v, upper_v - lower_v)
 
 
+def _least_perron_entry(rec: search.ExtremalRecord) -> float:
+    """The minimum Perron entry of the first witness of a q-extremal record."""
+    witness = graphs.from_graph6(rec.witnesses[0])
+    return float(spectra.spectral_radius(witness, "q").vector.min())
+
+
 def check_monotone_sequence(
     f: ForbiddenPattern, n_max: int, config: Optional[SearchConfig] = None
 ) -> CheckReport:
@@ -132,8 +138,7 @@ def check_monotone_sequence(
     for n in range(3, n_max + 1):
         prev_ratio = records[n - 1].value / (n - 2)
         ratio = records[n].value / (n - 1)
-        witness = graphs.from_graph6(records[n].witnesses[0])
-        mu2 = float(spectra.spectral_radius(witness, "q").vector.min()) ** 2
+        mu2 = _least_perron_entry(records[n]) ** 2
         c = (1 - n * mu2) / ((n - 2) * (1 - mu2))
         for bound in (ratio, ratio * (1 + c) - c):
             slack = prev_ratio - bound
@@ -273,8 +278,7 @@ def convergence_table(
             ex_e = search.extremal(n, f, "edges", config).value
             ex_l = search.extremal(n, f, "lambda", config).value
             rec_q = search.extremal(n, f, "q", config)
-            witness = graphs.from_graph6(rec_q.witnesses[0])
-            mu = float(spectra.spectral_radius(witness, "q").vector.min())
+            mu = _least_perron_entry(rec_q)
             rows.append(
                 ConvergenceRow(
                     n=n,

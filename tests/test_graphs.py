@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,19 +273,60 @@ def _generators(g):
 
 class TestAutomorphisms:
     """The automorphisms _canonical returns, with the twin transpositions,
-    generate Aut(G), and graphs.orbits turns them into its vertex orbits:
-    search._children and patterns._plans rely on both."""
+    generate Aut(G), and graphs.orbit turns them into its orbits on vertex
+    sets: search._children and patterns._plans rely on both."""
 
     @staticmethod
     def assert_orbits(g):
+        # u lies in v's orbit iff {u}, twin-normalised, lies in {v}'s orbit
         rows, _, autos = graphs._canonical(g.n, g.adj)
-        assert graphs.orbits(rows, autos) == orbits_naive(g.n, rows), g
+        twins = graphs.twin_prefixes(rows)
+        naive = orbits_naive(g.n, rows)
+        for v in range(g.n):
+            found = graphs.orbit(1 << v, autos, twins)
+            for u in range(g.n):
+                inside = graphs.twin_normal(1 << u, twins) in found
+                assert inside == bool(naive[v] >> u & 1), (g, v, u)
 
     def test_every_class_to_six_vertices(self):
         for n in range(1, 7):
             for g in search.enumerate_free(n):
                 assert group_order(n, _generators(g)) == automorphism_order_naive(g)
                 self.assert_orbits(g)
+
+    def test_mask_orbits_match_every_automorphism(self):
+        # the oracle maps each mask search._children forms through every
+        # automorphism that itertools.permutations finds, then twin-normalises.
+        # The automorphisms _canonical returns keep twin-normal masks
+        # twin-normal on these graphs, so the whole group is also given as
+        # generators: its twin swaps leave images that need normalising
+        for n in range(1, 7):
+            for g in search.enumerate_free(n):
+                rows, _, autos = graphs._canonical(n, g.adj)
+                full = graphs._unchecked(n, rows)
+                group = [
+                    p
+                    for p in itertools.permutations(range(n))
+                    if full.relabel(p).adj == rows
+                ]
+                twins = graphs.twin_prefixes(rows)
+                for mask in search._twin_masks(n, twins):
+                    naive = {
+                        graphs.twin_normal(
+                            sum(1 << a[v] for v in range(n) if mask >> v & 1), twins
+                        )
+                        for a in group
+                    }
+                    assert graphs.orbit(mask, autos, twins) == naive, (g, mask)
+                    assert graphs.orbit(mask, group, twins) == naive, (g, mask)
+
+    def test_start_mask_is_twin_normalised(self):
+        # no automorphism is returned for the empty graph, so only the
+        # normalisation of the start mask takes vertex 2 to vertex 0
+        rows = graphs.empty(3).adj
+        assert graphs._canonical(3, rows)[2] == ()
+        assert graphs.orbit(1 << 2, (), graphs.twin_prefixes(rows)) == {1}
+        assert graphs.orbit(0b110, (), graphs.twin_prefixes(rows)) == {0b011}
 
     @pytest.mark.parametrize(
         "g, order",

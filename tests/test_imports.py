@@ -5,7 +5,7 @@ No linter ships with the project, so these are the unused-import and
 dead-code checks.  A name counts as read when it is loaded (``np`` in
 ``np.zeros``) or listed in the module's ``__all__``; ``from __future__``
 imports bind nothing.  For the dead-code check a definition also counts as
-read when it is imported, read as an attribute (``graphs.orbits``) or named
+read when it is imported, read as an attribute (``graphs.orbit``) or named
 in a ``"module:name"`` string (perfbench's trace targets), anywhere in
 src/, tests/ or perfbench/ outside its own body.
 """

@@ -330,7 +330,7 @@ class TestTwinClasses:
         for n in range(1, 7):
             for parent in enumerate_free(n):
                 classes = graphs.twin_classes(parent.adj)
-                kept = search._twin_masks(n, search._twin_prefixes(parent.adj))
+                kept = search._twin_masks(n, graphs.twin_prefixes(parent.adj))
                 assert len(kept) == len(set(kept))
                 normal = set()
                 for mask in range(1 << n):
