@@ -55,6 +55,24 @@ budget is checked once per level against that cost, a level it cannot
 cover is never started, and the candidates examined never exceed it.
 All three measures are edge-monotone, so the edge-maximal mode is exact
 for extremal values; ``equivalence_check`` keeps that honest.
+
+``_children`` runs in two stages: ``_masks`` applies the filters above
+and keeps one mask per orbit with its tie set, and ``_accept`` labels
+the child and runs the orbit parent test.  Stored levels, and so
+``enumerate_free``, run both.  An extremal request stores only the levels
+that serve as parents: its top level, the largest n with a record to
+compute and no stored level, is built by ``_top_level`` and not stored.
+There a child whose new vertex is the unique maximum of the key is
+accepted on the key alone and kept unlabelled, on its parent's rows plus
+the new vertex, as McKay's geng emits it; only ties are labelled.  Each
+measure is evaluated once over the top level, and the children within
+VALUE_TOL + 1e-9 of its maximum are labelled and evaluated again on
+their canonical rows, since the last bits of ``eigvalsh`` depend on the
+vertex order; the record is the one the stored level gives.
+``extremal_records`` walks a range of n and reads every measure from one
+pass over each level, so a range builds each level once, where
+ascending ``extremal`` calls build each one twice: unstored as a top
+level, then stored as a parent.
 """
 
 from __future__ import annotations
@@ -167,29 +185,26 @@ def _twin_masks(n: int, twins) -> list:
     return masks
 
 
-def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
-    """Accepted children, as a dict from canonical rows to the
-    automorphisms ``graphs._canonical`` found for them, plus candidates
-    examined.
+def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos) -> list:
+    """The mask stage of ``_children``: (mask, ties) for one mask per orbit
+    of Aut(P) among those that pass every filter, where ties is the set of
+    parent vertices whose deletion key equals the new vertex's, 0 when the
+    new vertex is the unique maximum.
 
     ``parent`` must be canonically labelled, and ``autos`` are
     automorphisms of its rows.  Those its labelling returned generate
     Aut(P) with the twin transpositions; fewer only split orbits, which
-    costs labellings but accepts the same children.  The
-    deletion vertex maximises (degree, sum of neighbour degrees), ties
-    going to the largest canonical position.  One mask per twin-class
-    choice is considered; masks that contain a forbidden set, then masks
-    whose new vertex some parent vertex beats on that key, are dropped
-    before any child is built.  Of the rest, one mask per orbit of Aut(P)
-    is labelled, and its child is kept iff the new vertex lies in the
-    orbit of the deletion vertex under the child's automorphisms; both
-    orbits come from ``graphs.orbit``.  Every filter is invariant under
-    Aut(P), so an orbit passes or fails whole.  ``examined`` still counts
-    every mask.
+    keeps more masks but accepts the same children.  The deletion vertex
+    maximises (degree, sum of neighbour degrees), ties going to the
+    largest canonical position.  One mask per twin-class choice is
+    considered; masks that contain a forbidden set, then masks whose new
+    vertex some parent vertex beats on that key, are dropped before any
+    child is built.  Every filter is invariant under Aut(P), so an orbit
+    passes or fails whole, and the orbit of each mask kept, from
+    ``graphs.orbit``, is skipped after it.
     """
     n = parent.n
     adj = parent.adj
-    examined = 1 << n
     twins = graphs.twin_prefixes(adj)
     masks = _twin_masks(n, twins)
     if f is not None:
@@ -205,9 +220,9 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
     top = of_degree[dmax]
     masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
     nsums = [sum(degrees[j] for j in parent.neighbors(i)) for i in range(n)]
-    accepted = {}
-    # masks in the orbit of one already labelled
+    # masks in the orbit of one already kept
     labelled = set()
+    kept = []
     for mask in masks:
         if mask in labelled:
             continue
@@ -228,24 +243,70 @@ def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
             ties = sum(1 << i for i, s in sums.items() if s == key)
         if autos:
             labelled |= graphs.orbit(mask, autos, twins)
-        child = _extend(parent, mask)
-        rows, perm, child_autos = graphs._canonical(child.n, child.adj)
-        if ties:
-            ties |= 1 << n
-            w = next(v for v in reversed(perm) if ties >> v & 1)
-            # child - n is the parent itself, so only w != n needs a test;
-            # the orbit is of canonical positions, where child_autos act
-            if w != n:
-                # the child's twin classes; the parent's twins still serve
-                # the masks to come
-                ct = graphs.twin_prefixes(rows)
-                new_vertex = graphs.twin_normal(1 << perm.index(n), ct)
-                if new_vertex not in graphs.orbit(1 << perm.index(w), child_autos, ct):
-                    continue
-        # stored with the level: a byte per position (n <= HARD_CAP) takes
-        # less memory than a tuple of ints
-        accepted[rows] = tuple(map(bytes, child_autos))
-    return accepted, examined
+        kept.append((mask, ties))
+    return kept
+
+
+def _accept(parent: Graph, mask: int, ties: int) -> Optional[tuple]:
+    """The acceptance stage of ``_children``: the canonical rows of the
+    child of ``mask`` and the automorphisms ``graphs._canonical`` found for
+    them, or None when the child is not accepted.
+
+    If the new vertex ties with no parent vertex (``ties`` is 0), deleting
+    it gives the parent, so the child is accepted.  Otherwise the
+    labelling names the deletion vertex w, and the child is accepted iff
+    the new vertex lies in the orbit of w under the child's automorphisms.
+    """
+    n = parent.n
+    child = _extend(parent, mask)
+    rows, perm, child_autos = graphs._canonical(child.n, child.adj)
+    if ties:
+        ties |= 1 << n
+        w = next(v for v in reversed(perm) if ties >> v & 1)
+        # child - n is the parent itself, so only w != n needs a test;
+        # the orbit is of canonical positions, where child_autos act
+        if w != n:
+            # the child's twin classes; the parent's twins still serve
+            # the masks to come
+            ct = graphs.twin_prefixes(rows)
+            new_vertex = graphs.twin_normal(1 << perm.index(n), ct)
+            if new_vertex not in graphs.orbit(1 << perm.index(w), child_autos, ct):
+                return None
+    return rows, child_autos
+
+
+def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
+    """Accepted children, as a dict from canonical rows to the
+    automorphisms ``graphs._canonical`` found for them, plus candidates
+    examined: every mask of ``_masks`` through ``_accept``.  ``examined``
+    still counts every mask."""
+    accepted = {}
+    for mask, ties in _masks(parent, f, autos):
+        child = _accept(parent, mask, ties)
+        if child is not None:
+            rows, child_autos = child
+            # stored with the level: a byte per position (n <= HARD_CAP)
+            # takes less memory than a tuple of ints
+            accepted[rows] = tuple(map(bytes, child_autos))
+    return accepted, 1 << parent.n
+
+
+def _top_level(f: Optional[ForbiddenPattern], n: int) -> list:
+    """One graph per F-free class on n >= 2 vertices, not stored and mostly
+    not labelled: a child whose new vertex is the unique maximum of the
+    deletion key is accepted by ``_masks`` alone and kept on its parent's
+    rows plus the new vertex; only ties are labelled, and kept on their
+    canonical rows.  Level n - 1 must be cached."""
+    children = []
+    for parent, autos in zip(*_LEVELS[(_pattern_key(f), n - 1)]):
+        for mask, ties in _masks(parent, f, autos):
+            if not ties:
+                children.append(_extend(parent, mask))
+                continue
+            child = _accept(parent, mask, ties)
+            if child is not None:
+                children.append(graphs._unchecked(n, child[0]))
+    return children
 
 
 def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
@@ -282,13 +343,38 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
     return reps
 
 
-def _check_cap(n: int, budget: int):
+def _check_request(n: int, config: SearchConfig):
+    if config.mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
+        raise SearchError(f"unknown mode {config.mode!r}")
     if n < 1:
         raise SearchError(f"n={n} is below 1")
     if n > HARD_CAP:
         raise SearchError(f"n={n} exceeds the cap of {HARD_CAP}")
-    if budget < 0:
-        raise SearchError(f"budget {budget} is below 0")
+    if config.budget < 0:
+        raise SearchError(f"budget {config.budget} is below 0")
+
+
+def _build_below(f: Optional[ForbiddenPattern], n: int, budget: int) -> int:
+    """Build levels 1..n-1 and return the candidates examined by levels
+    1..n.  Before level k <= n is started, its cost ``_cost(f, k)`` is
+    added to the candidates examined so far; if the sum exceeds
+    ``budget``, ``BudgetExceededError`` is raised and level k is never
+    started.  The same levels complete whether or not they are cached."""
+    examined = 0
+    progress = {}
+    for k in range(1, n + 1):
+        cost = _cost(f, k)
+        if examined + cost > budget:
+            raise BudgetExceededError(
+                f"examined {examined} candidates, level {k} needs {cost} more, "
+                f"budget {budget}",
+                progress,
+                examined,
+            )
+        examined += cost
+        if k < n:
+            progress[k] = len(_level(f, k))
+    return examined
 
 
 def _is_edge_maximal(g: Graph, f: Optional[ForbiddenPattern]) -> bool:
@@ -309,33 +395,17 @@ def enumerate_free(
     f: Optional[ForbiddenPattern] = None,
     config: Optional[SearchConfig] = None,
 ):
-    """One canonical representative per isomorphism class of F-free graphs.
+    """One canonical representative per isomorphism class of F-free graphs,
+    in canonical graph6 order; levels 1..n are built within
+    ``config.budget`` by ``_build_below`` and stored.
 
     ``config.mode == "maximal"`` keeps only the edge-maximal (F-saturated)
-    classes.  Before level k is built, its cost ``_cost(f, k)`` is added to
-    the candidates examined so far; if the sum exceeds ``config.budget``,
-    ``BudgetExceededError`` is raised and level k is never started.  The
-    same levels complete whether or not they are cached.
+    classes.
     """
     config = config or SearchConfig()
-    if config.mode not in (ALL_GRAPHS, MAXIMAL_ONLY):
-        raise SearchError(f"unknown mode {config.mode!r}")
-    _check_cap(n, config.budget)
-    examined = 0
-    progress = {}
-    for k in range(1, n + 1):
-        cost = _cost(f, k)
-        if examined + cost > config.budget:
-            raise BudgetExceededError(
-                f"examined {examined} candidates, level {k} needs {cost} more, "
-                f"budget {config.budget}",
-                progress,
-                examined,
-            )
-        examined += cost
-        reps = _level(f, k)
-        progress[k] = len(reps)
-    reps = list(reps)
+    _check_request(n, config)
+    _build_below(f, n, config.budget)
+    reps = list(_level(f, n))
     if config.mode == MAXIMAL_ONLY:
         reps = [g for g in reps if _is_edge_maximal(g, f)]
     return reps
@@ -394,6 +464,113 @@ def _write_cached(path: Path, chash: str, record: ExtremalRecord) -> None:
         raise
 
 
+def _values(gs, measure: str) -> list:
+    if measure == "edges":
+        return [float(g.edge_count()) for g in gs]
+    return spectra.top_eigenvalues(gs, measure)
+
+
+def _best(gs, measures) -> dict:
+    """{measure: (value, witnesses)} over ``gs``, one graph per class on
+    any rows.  Each measure is evaluated once on every graph; those within
+    VALUE_TOL + 1e-9 of the largest value are labelled and evaluated again
+    on their canonical rows, in ``graphs.order_key`` order, and the value
+    is the largest of these and the witnesses the sorted graph6 of those
+    within VALUE_TOL of it.  The last bits of ``eigvalsh`` depend on the
+    vertex order, by far less than 1e-9, so the result is the one the
+    canonical representatives give."""
+    canonical = {}
+    out = {}
+    for measure in measures:
+        values = _values(gs, measure)
+        floor = max(values) - VALUE_TOL - 1e-9
+        near = [i for i, v in enumerate(values) if v >= floor]
+        for i in near:
+            if i not in canonical:
+                g = gs[i]
+                canonical[i] = graphs._unchecked(g.n, graphs._canonical(g.n, g.adj)[0])
+        reps = sorted((canonical[i] for i in near), key=graphs.order_key)
+        values = _values(reps, measure)
+        best = max(values)
+        out[measure] = best, sorted(
+            graphs.to_graph6(g) for g, v in zip(reps, values) if v >= best - VALUE_TOL
+        )
+    return out
+
+
+def extremal_records(
+    f: ForbiddenPattern,
+    n_values,
+    measures=MEASURES,
+    config: Optional[SearchConfig] = None,
+):
+    """For each n of the ascending ``n_values``, yield a tuple of one
+    ``ExtremalRecord`` per measure of ``measures`` (see ``extremal``).
+
+    With ``config.cache_dir`` set, every record is looked up first, so a
+    run whose records are all cached builds nothing; a computed record is
+    written back, and a write that fails with an ``OSError`` is dropped,
+    so the disk cache never fails a run.  The top level, the largest n
+    with a record to compute, is built by ``_top_level`` unless it is
+    already stored: it is not stored, only its ties are labelled, and
+    ``_best`` reads every measure of it from that one pass.  The levels
+    below are built and stored once, by ``_build_below`` and ``_level``,
+    within ``config.budget``; a ``BudgetExceededError`` is raised where
+    ``enumerate_free`` raises it, after the records of smaller n are
+    yielded."""
+    config = config or SearchConfig()
+    for measure in measures:
+        if measure not in MEASURES:
+            raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")
+    n_values = list(n_values)
+    # a usage error does not depend on what the cache holds
+    for n in n_values:
+        _check_request(n, config)
+    files = {}
+    if config.cache_dir:
+        files = {
+            (n, m): (_cache_path(f, n, m, config), _config_hash(f, n, m, config))
+            for n in n_values
+            for m in measures
+        }
+    records = {}
+    for key, (path, chash) in files.items():
+        cached = _read_cached(path, chash)
+        if cached is not None:
+            records[key] = cached
+    top = max(
+        (n for n in n_values for m in measures if (n, m) not in records), default=0
+    )
+    for n in n_values:
+        todo = [m for m in measures if (n, m) not in records]
+        if todo:
+            examined = _build_below(f, n, config.budget)
+            if n == top and n > 1 and (_pattern_key(f), n) not in _LEVELS:
+                gs = _top_level(f, n)
+            else:
+                gs = _level(f, n)
+            if config.mode == MAXIMAL_ONLY:
+                gs = [g for g in gs if _is_edge_maximal(g, f)]
+            if not gs:
+                raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
+            for measure, (value, witnesses) in _best(gs, todo).items():
+                record = ExtremalRecord(
+                    n=n,
+                    pattern=f.label(),
+                    measure=measure,
+                    value=value,
+                    witnesses=witnesses,
+                    graphs_examined=examined,
+                )
+                records[n, measure] = record
+                if files:
+                    try:
+                        _write_cached(*files[n, measure], record)
+                    except OSError:
+                        pass  # a cache that cannot be written never fails the run
+        yield tuple(records[n, m] for m in measures)
+
+
 def extremal(
     n: int,
     f: ForbiddenPattern,
@@ -401,47 +578,19 @@ def extremal(
     config: Optional[SearchConfig] = None,
 ) -> ExtremalRecord:
     """Exact maximum of the measure over n-vertex F-free graphs, with
-    all witnesses attaining it (within VALUE_TOL) as sorted canonical graph6.
+    all witnesses attaining it (within VALUE_TOL) as sorted canonical graph6:
+    the one-record case of ``extremal_records``.
 
-    With ``config.cache_dir`` set, a valid cached record is returned as it
-    is, and a computed one is written back; a write that fails with an
-    ``OSError`` is dropped, so the disk cache never fails a run."""
-    config = config or SearchConfig()
-    if measure not in MEASURES:
-        raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")
-    # a usage error does not depend on what the cache holds
-    _check_cap(n, config.budget)
-    chash = _config_hash(f, n, measure, config)
-    cache_file = None
-    if config.cache_dir:
-        cache_file = _cache_path(f, n, measure, config)
-        cached = _read_cached(cache_file, chash)
-        if cached is not None:
-            return cached
-    reps = enumerate_free(n, f, config)
-    if not reps:
-        raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
-    if measure == "edges":
-        values = [float(g.edge_count()) for g in reps]
-    else:
-        values = spectra.top_eigenvalues(reps, measure)
-    best = max(values)
-    witnesses = sorted(
-        graphs.to_graph6(g) for g, v in zip(reps, values) if v >= best - VALUE_TOL
-    )
-    record = ExtremalRecord(
-        n=n,
-        pattern=f.label(),
-        measure=measure,
-        value=best,
-        witnesses=witnesses,
-        graphs_examined=sum(_cost(f, k) for k in range(1, n + 1)),
-    )
-    if cache_file is not None:
-        try:
-            _write_cached(cache_file, chash, record)
-        except OSError:
-            pass  # a cache that cannot be written never fails the run
+    Unless level n is stored, it is the top level: it is built unstored,
+    and only its ties and its children within VALUE_TOL + 1e-9 of the
+    maximum are labelled.  A later call for n + 1 must then build level n
+    again, labelled and stored, as the parents of level n + 1, so
+    ascending values of n belong in one ``extremal_records`` call, which
+    builds each level once.  With ``config.cache_dir`` set, a valid cached
+    record is returned as it is, and a computed one is written back; a
+    write that fails with an ``OSError`` is dropped, so the disk cache
+    never fails a run."""
+    (record,) = next(extremal_records(f, (n,), (measure,), config))
     return record
 
 

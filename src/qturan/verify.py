@@ -132,7 +132,10 @@ def check_monotone_sequence(
     if f.chi < 3:
         return _not_applicable("monotone_sequence", subject)
     config = config or SearchConfig()
-    records = {n: search.extremal(n, f, "q", config) for n in range(2, n_max + 1)}
+    records = {
+        rec.n: rec
+        for (rec,) in search.extremal_records(f, range(2, n_max + 1), ("q",), config)
+    }
     worst = math.inf
     lhs = rhs = math.nan
     for n in range(3, n_max + 1):
@@ -164,8 +167,8 @@ def check_star_theorem(
     n_range = range(t, n_max + 1)
     subject = f"K1_{t}, n in {list(n_range)}"
     worst = math.inf
-    for n in n_range:
-        rec = search.extremal(n, f, "q", config)
+    for (rec,) in search.extremal_records(f, n_range, ("q",), config):
+        n = rec.n
         worst = min(worst, search.VALUE_TOL - abs(rec.value - expected))
         copies = n // t
         parts = [graphs.complete(t)] * copies + [graphs.empty(1)] * (n - copies * t)
@@ -274,10 +277,12 @@ def convergence_table(
     rows = []
     partial = False
     try:
-        for n in range(1, n_max + 1):
-            ex_e = search.extremal(n, f, "edges", config).value
-            ex_l = search.extremal(n, f, "lambda", config).value
-            rec_q = search.extremal(n, f, "q", config)
+        measures = ("edges", "lambda", "q")
+        n_range = range(1, n_max + 1)
+        for rec_e, rec_l, rec_q in search.extremal_records(f, n_range, measures, config):
+            n = rec_q.n
+            ex_e = rec_e.value
+            ex_l = rec_l.value
             mu = _least_perron_entry(rec_q)
             rows.append(
                 ConvergenceRow(

@@ -6,16 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from qturan import graphs, patterns, search
-from qturan.patterns import pattern_by_name
+from qturan import cli, graphs, patterns, search, spectra, verify
+from qturan.patterns import PATTERN_NAMES, pattern_by_name
 from qturan.search import (
+    ALL_GRAPHS,
     MAXIMAL_ONLY,
+    MEASURES,
+    VALUE_TOL,
     BudgetExceededError,
     SearchConfig,
     SearchError,
     enumerate_free,
     equivalence_check,
     extremal,
+    extremal_records,
 )
 from tests.conftest import (
     all_labeled_graphs,
@@ -536,6 +540,160 @@ class TestExtremal:
         f = ForbiddenPattern.from_graph(graphs.empty(1))
         with pytest.raises(SearchError):
             extremal(3, f, "edges")
+
+
+def _labelled_record(f, n, measure, config):
+    """(value, witnesses) read off the stored, fully labelled level, as
+    extremal computed them before its top level went unlabelled."""
+    reps = enumerate_free(n, f, config)
+    if measure == "edges":
+        values = [float(g.edge_count()) for g in reps]
+    else:
+        values = spectra.top_eigenvalues(reps, measure)
+    best = max(values)
+    witnesses = sorted(
+        graphs.to_graph6(g) for g, v in zip(reps, values) if v >= best - VALUE_TOL
+    )
+    return repr(best), witnesses
+
+
+def _counting(monkeypatch, module, name, key):
+    """Count the calls of module.name by key(*args)."""
+    calls = {}
+    real = getattr(module, name)
+
+    def counted(*args):
+        k = key(*args)
+        calls[k] = calls.get(k, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestTopLevel:
+    """The top level of an extremal request is built unstored, and only
+    its ties are labelled; the fully labelled level is the oracle."""
+
+    CASES = [(name, n) for name in PATTERN_NAMES for n in range(1, 8)] + [
+        ("K4", 8),
+        ("C5", 8),
+    ]
+
+    def test_records_match_the_labelled_level(self):
+        for name, n in self.CASES:
+            f = pattern_by_name(name)
+            key = (search._pattern_key(f), n)
+            for mode in (ALL_GRAPHS, MAXIMAL_ONLY):
+                config = SearchConfig(mode=mode)
+                expected = [_labelled_record(f, n, m, config) for m in MEASURES]
+                stored = search._LEVELS.pop(key)
+                try:
+                    (records,) = extremal_records(f, [n], MEASURES, config)
+                    # level 1 labels nothing and is stored as it is built
+                    assert (key in search._LEVELS) == (n == 1)
+                finally:
+                    search._LEVELS[key] = stored
+                got = [(repr(r.value), r.witnesses) for r in records]
+                assert got == expected, (name, n, mode)
+
+    def test_table_labelling_count_pinned(self, monkeypatch, tmp_path):
+        # levels 2..6 make the 168 labellings they made when every level
+        # was stored, and the children near each measure's maximum at
+        # n = 1..6 are labelled again, 6 more; the unstored top level 7
+        # labels its ties and its children near a maximum, 250 labellings
+        # for 685 classes where the stored level made 726.  So 424 in all,
+        # against 894 before.  A warm table reads every record and builds
+        # nothing
+        f = pattern_by_name("K4")
+        patterns._plans(f.graph)  # labels K4 itself
+        config = SearchConfig(cache_dir=str(tmp_path))
+        for expected in (424, 0):
+            search.clear_caches()
+            labelled = _counting(monkeypatch, graphs, "_canonical", lambda n, adj: n)
+            children = _counting(monkeypatch, search, "_children", lambda *a: None)
+            table = verify.convergence_table(f, 7, config)
+            assert len(table.rows) == 7 and not table.partial
+            assert sum(labelled.values()) == expected
+            assert sum(children.values()) == (46 if expected else 0)
+            monkeypatch.undo()
+        search.clear_caches()
+
+    def test_budget_stops_every_caller_alike(self, capsys):
+        # a budget that covers levels 1..k-1 and not level k stops
+        # enumerate_free, extremal and the range walk under table with one
+        # error; table keeps the rows before n = k, and the CLI exits 3
+        f = pattern_by_name("K4")
+        enumerate_free(7, f)
+        spent = [0]
+        for k in range(1, 8):
+            spent.append(spent[-1] + search._cost(f, k))
+        full_table = cli.main(["table", "--pattern", "K4", "--n-max", "7", "--no-cache"])
+        assert full_table == 0
+        table_lines = capsys.readouterr().out.splitlines(keepends=True)
+        for k in range(1, 8):
+            for budget in (spent[k - 1], spent[k] - 1):
+                config = SearchConfig(budget=budget)
+                errors = []
+                for run in (
+                    lambda: enumerate_free(7, f, config),
+                    lambda: extremal(7, f, "q", config),
+                    lambda: list(extremal_records(f, range(1, 8), MEASURES, config)),
+                ):
+                    search.clear_caches()
+                    with pytest.raises(BudgetExceededError) as exc:
+                        run()
+                    e = exc.value
+                    errors.append((str(e), e.progress, e.examined))
+                message, progress, examined = errors[0]
+                assert errors == [errors[0]] * 3, (k, budget)
+                assert f"level {k} needs" in message
+                assert list(progress) == list(range(1, k)) and examined == spent[k - 1]
+                search.clear_caches()
+                table = verify.convergence_table(f, 7, config)
+                assert table.partial and [r.n for r in table.rows] == list(range(1, k))
+                for argv, out, err in (
+                    (
+                        ["extremal", "--pattern", "K4", "--n", "7"],
+                        f"budget exhausted: {message}\nprogress: {progress}\n",
+                        "",
+                    ),
+                    (
+                        ["table", "--pattern", "K4", "--n-max", "7"],
+                        "".join(table_lines[:k]),
+                        "partial: enumeration budget exhausted\n",
+                    ),
+                ):
+                    search.clear_caches()
+                    code = cli.main([*argv, "--budget", str(budget), "--no-cache"])
+                    assert (code, *capsys.readouterr()) == (3, out, err), (argv, k)
+        search.clear_caches()
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: verify.check_monotone_sequence(pattern_by_name("K4"), 7),
+            lambda: verify.check_star_theorem(3, 7),
+        ],
+        ids=["monotone", "star"],
+    )
+    def test_no_level_is_built_twice(self, monkeypatch, check):
+        # the checks walk n = 2..7 (3..7) in one range, so levels 1..6 are
+        # built and stored once and the top level 7 once, unstored; one
+        # extremal call per n would build each level twice, once unstored
+        search.clear_caches()
+        masked = _counting(monkeypatch, search, "_masks", lambda p, f, a: (p.n, p.adj))
+        children = _counting(monkeypatch, search, "_children", lambda p, f, a: p.n)
+        assert check().passed
+        stored = {n: len(reps) for (_, n), (reps, _) in search._LEVELS.items()}
+        assert sorted(stored) == [1, 2, 3, 4, 5, 6]
+        assert set(masked.values()) == {1}
+        parents = {}
+        for n, _ in masked:
+            parents[n] = parents.get(n, 0) + 1
+        assert parents == stored
+        assert children == {n: stored[n] for n in range(1, 6)}
+        search.clear_caches()
 
 
 class TestDiskCache:
