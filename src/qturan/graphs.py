@@ -441,9 +441,9 @@ def orbit(mask: int, autos, twins) -> set:
     the twin transpositions of ``twins``; v's orbit is that of ``1 << v``.
 
     The twin permutations form a normal subgroup, since automorphisms map
-    twin classes onto twin classes, so it suffices to normalise ``mask`` and
-    follow each automorphism by ``twin_normal``.  With the automorphisms
-    ``_canonical`` returns and the twin classes of its rows, this is Aut(G).
+    twin classes onto twin classes, so it suffices to normalise ``mask``
+    if ``autos`` keep each twin class in order, as those ``_canonical``
+    returns do; with the twin classes of its rows, they give Aut(G).
     """
     mask = twin_normal(mask, twins)
     seen = {mask}
@@ -457,7 +457,6 @@ def orbit(mask: int, autos, twins) -> set:
                 low = rest & -rest
                 rest ^= low
                 image |= 1 << a[low.bit_length() - 1]
-            image = twin_normal(image, twins)
             if image not in seen:
                 seen.add(image)
                 frontier.append(image)
@@ -583,6 +582,13 @@ def _canonical(n, adj):
     each child visited in the orbit some leaf has the winner's rows: the
     child's subtree holds an image of the winner, and a twin skipped below
     the child leaves its twin's leaves, which have the same rows.
+
+    Each automorphism returned maps every twin class onto a twin class in
+    increasing order, as ``orbit`` needs.  Refinement never splits twins:
+    two twins in one cell agree outside their pair, and every splitter
+    holds both or neither.  Only the lowest twin left in a cell is branched
+    on, before the rest of its cell, so every leaf lists each twin class in
+    increasing order, and a map read off two such leaves keeps that order.
 
     ``(rows, perm)`` equals that of the full recount kept as the reference
     in ``tests/conftest.py``; ``search._children`` reads its deletion

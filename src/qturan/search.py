@@ -31,8 +31,9 @@ labelling beside its level, so a parent brings its own.
 Vertices of the parent with equal open neighbourhoods, or equal closed
 ones, form disjoint classes that Aut(P) permutes freely, so only masks
 that meet each class in that class's lowest vertices are formed
-(``graphs.twin_normal``), and ``graphs.orbit``, the one routine that maps
-vertex sets through automorphisms, brings each image back to that form.
+(``graphs.twin_normal``); ``graphs.orbit``, the one routine that maps
+vertex sets through automorphisms, keeps that form with those of
+``graphs._canonical``, which keep each twin class in order.
 
 Classes are keyed on canonical adjacency rows, and each representative is
 stored unvalidated on its rows, so a parent is its own canonical labelling
@@ -56,15 +57,15 @@ cover is never started, and the candidates examined never exceed it.
 All three measures are edge-monotone, so the edge-maximal mode is exact
 for extremal values; ``equivalence_check`` keeps that honest.
 
-``_children`` runs in two stages: ``_masks`` applies the filters above
-and keeps one mask per orbit with its tie set, and ``_accept`` labels
-the child and runs the orbit parent test.  Stored levels, and so
-``enumerate_free``, run both.  An extremal request stores only the levels
-that serve as parents: its top level, the largest n with a record to
-compute and no stored level, is built by ``_top_level`` and not stored.
-There a child whose new vertex is the unique maximum of the key is
-accepted on the key alone and kept unlabelled, on its parent's rows plus
-the new vertex, as McKay's geng emits it; only ties are labelled.  Each
+``_children`` is the one acceptance step of every level: ``_masks``
+applies the filters above and keeps one mask per orbit with its tie set.
+A child whose new vertex is the unique maximum of the key is accepted on
+the key alone and left unlabelled, on its parent's rows plus the new
+vertex, as McKay's geng emits it; only ties are labelled.  A stored level
+(``_level``, so ``enumerate_free``) labels the children it stores.  An
+extremal request stores only the levels that serve as parents: its top
+level, the largest n with a record to compute and no stored level, is
+``_children`` over level n - 1 and is not stored.  Each
 measure is evaluated once over the top level, and the children within
 VALUE_TOL + 1e-9 of its maximum are labelled and evaluated again on
 their canonical rows, since the last bits of ``eigvalsh`` depend on the
@@ -247,66 +248,33 @@ def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos) -> list:
     return kept
 
 
-def _accept(parent: Graph, mask: int, ties: int) -> Optional[tuple]:
-    """The acceptance stage of ``_children``: the canonical rows of the
-    child of ``mask`` and the automorphisms ``graphs._canonical`` found for
-    them, or None when the child is not accepted.
-
-    If the new vertex ties with no parent vertex (``ties`` is 0), deleting
-    it gives the parent, so the child is accepted.  Otherwise the
-    labelling names the deletion vertex w, and the child is accepted iff
-    the new vertex lies in the orbit of w under the child's automorphisms.
-    """
+def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
+    """The accepted children of ``parent`` as (rows, automorphisms), and
+    the candidates examined, every mask.  A child whose new vertex is the
+    unique maximum of the key (``ties`` 0 in ``_masks``) is the parent
+    plus that vertex, so it is accepted unlabelled, on those rows, with
+    automorphisms None.  On a tie the labelling names the deletion vertex
+    w, and the child is accepted iff the new vertex lies in the orbit of w
+    under its automorphisms, and comes on its canonical rows with them."""
     n = parent.n
-    child = _extend(parent, mask)
-    rows, perm, child_autos = graphs._canonical(child.n, child.adj)
-    if ties:
+    children = []
+    for mask, ties in _masks(parent, f, autos):
+        child = _extend(parent, mask)
+        if not ties:
+            children.append((child.adj, None))
+            continue
+        rows, perm, child_autos = graphs._canonical(n + 1, child.adj)
         ties |= 1 << n
         w = next(v for v in reversed(perm) if ties >> v & 1)
         # child - n is the parent itself, so only w != n needs a test;
         # the orbit is of canonical positions, where child_autos act
         if w != n:
-            # the child's twin classes; the parent's twins still serve
-            # the masks to come
             ct = graphs.twin_prefixes(rows)
             new_vertex = graphs.twin_normal(1 << perm.index(n), ct)
             if new_vertex not in graphs.orbit(1 << perm.index(w), child_autos, ct):
-                return None
-    return rows, child_autos
-
-
-def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
-    """Accepted children, as a dict from canonical rows to the
-    automorphisms ``graphs._canonical`` found for them, plus candidates
-    examined: every mask of ``_masks`` through ``_accept``.  ``examined``
-    still counts every mask."""
-    accepted = {}
-    for mask, ties in _masks(parent, f, autos):
-        child = _accept(parent, mask, ties)
-        if child is not None:
-            rows, child_autos = child
-            # stored with the level: a byte per position (n <= HARD_CAP)
-            # takes less memory than a tuple of ints
-            accepted[rows] = tuple(map(bytes, child_autos))
-    return accepted, 1 << parent.n
-
-
-def _top_level(f: Optional[ForbiddenPattern], n: int) -> list:
-    """One graph per F-free class on n >= 2 vertices, not stored and mostly
-    not labelled: a child whose new vertex is the unique maximum of the
-    deletion key is accepted by ``_masks`` alone and kept on its parent's
-    rows plus the new vertex; only ties are labelled, and kept on their
-    canonical rows.  Level n - 1 must be cached."""
-    children = []
-    for parent, autos in zip(*_LEVELS[(_pattern_key(f), n - 1)]):
-        for mask, ties in _masks(parent, f, autos):
-            if not ties:
-                children.append(_extend(parent, mask))
                 continue
-            child = _accept(parent, mask, ties)
-            if child is not None:
-                children.append(graphs._unchecked(n, child[0]))
-    return children
+        children.append((rows, child_autos))
+    return children, 1 << n
 
 
 def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
@@ -320,7 +288,8 @@ def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
 def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
     """Representatives of F-free classes on n vertices, in canonical graph6
     order and stored on their canonical rows, with their automorphisms
-    beside them; level n - 1 must be cached."""
+    beside them; the children ``_children`` leaves unlabelled are labelled
+    here, so each class is labelled once.  Level n - 1 must be cached."""
     key = (_pattern_key(f), n)
     hit = _LEVELS.get(key)
     if hit is not None:
@@ -332,7 +301,11 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
     else:
         found = {}
         for parent, parent_autos in zip(*_LEVELS[(key[0], n - 1)]):
-            found.update(_children(parent, f, parent_autos)[0])
+            for rows, autos in _children(parent, f, parent_autos)[0]:
+                if autos is None:
+                    rows, _, autos = graphs._canonical(n, rows)
+                # bytes (n <= HARD_CAP) take less memory than tuples of ints
+                found[rows] = tuple(map(bytes, autos))
         # each class has exactly one parent, so sorting makes the order
         # independent of the deletion rule
         reps = tuple(
@@ -341,6 +314,20 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
         autos = tuple(found[g.adj] for g in reps)
     _LEVELS[key] = (reps, autos)
     return reps
+
+
+def _classes(f: Optional[ForbiddenPattern], n: int):
+    """One graph per F-free class on n vertices: the stored level if there
+    is one, else the top level, ``_children`` over the stored level n - 1,
+    which is not stored and, but for its ties, not labelled."""
+    key = (_pattern_key(f), n)
+    if n == 1 or key in _LEVELS:
+        return _level(f, n)
+    return [
+        graphs._unchecked(n, rows)
+        for parent, autos in zip(*_LEVELS[(key[0], n - 1)])
+        for rows, _ in _children(parent, f, autos)[0]
+    ]
 
 
 def _check_request(n: int, config: SearchConfig):
@@ -511,11 +498,11 @@ def extremal_records(
     run whose records are all cached builds nothing; a computed record is
     written back, and a write that fails with an ``OSError`` is dropped,
     so the disk cache never fails a run.  The top level, the largest n
-    with a record to compute, is built by ``_top_level`` unless it is
-    already stored: it is not stored, only its ties are labelled, and
-    ``_best`` reads every measure of it from that one pass.  The levels
-    below are built and stored once, by ``_build_below`` and ``_level``,
-    within ``config.budget``; a ``BudgetExceededError`` is raised where
+    with a record to compute, comes from ``_classes``: unless it is
+    stored, it is not stored and only its ties are labelled, and ``_best``
+    reads every measure of it from that one pass.  The levels below are
+    built and stored once, by ``_build_below`` and ``_level``, within
+    ``config.budget``; a ``BudgetExceededError`` is raised where
     ``enumerate_free`` raises it, after the records of smaller n are
     yielded."""
     config = config or SearchConfig()
@@ -545,10 +532,7 @@ def extremal_records(
         todo = [m for m in measures if (n, m) not in records]
         if todo:
             examined = _build_below(f, n, config.budget)
-            if n == top and n > 1 and (_pattern_key(f), n) not in _LEVELS:
-                gs = _top_level(f, n)
-            else:
-                gs = _level(f, n)
+            gs = _classes(f, n) if n == top else _level(f, n)
             if config.mode == MAXIMAL_ONLY:
                 gs = [g for g in gs if _is_edge_maximal(g, f)]
             if not gs:
@@ -581,21 +565,29 @@ def extremal(
     all witnesses attaining it (within VALUE_TOL) as sorted canonical graph6:
     the one-record case of ``extremal_records``.
 
-    Unless level n is stored, it is the top level: it is built unstored,
-    and only its ties and its children within VALUE_TOL + 1e-9 of the
-    maximum are labelled.  A later call for n + 1 must then build level n
-    again, labelled and stored, as the parents of level n + 1, so
-    ascending values of n belong in one ``extremal_records`` call, which
-    builds each level once.  With ``config.cache_dir`` set, a valid cached
-    record is returned as it is, and a computed one is written back; a
-    write that fails with an ``OSError`` is dropped, so the disk cache
-    never fails a run."""
+    Unless level n is stored, it is the top level, ``_children`` over
+    level n - 1: it is not stored, and only its ties and its children
+    within VALUE_TOL + 1e-9 of the maximum are labelled.  A later call for
+    n + 1 must then build level n again, labelled and stored, as the
+    parents of level n + 1, so ascending values of n belong in one
+    ``extremal_records`` call, which builds each level once.  With
+    ``config.cache_dir`` set, a valid cached record is returned as it is,
+    and a computed one is written back; a write that fails with an
+    ``OSError`` is dropped, so the disk cache never fails a run."""
     (record,) = next(extremal_records(f, (n,), (measure,), config))
     return record
 
 
 def equivalence_check(n: int, f: ForbiddenPattern, measure: str) -> bool:
-    """True iff full and edge-maximal enumeration agree on the extremum."""
-    full = extremal(n, f, measure, SearchConfig(mode=ALL_GRAPHS))
-    maximal = extremal(n, f, measure, SearchConfig(mode=MAXIMAL_ONLY))
-    return abs(full.value - maximal.value) <= VALUE_TOL
+    """True iff full and edge-maximal enumeration agree on the extremum,
+    read as ``extremal`` reads it in each mode off one list of level n."""
+    if measure not in MEASURES:
+        raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")
+    _check_request(n, SearchConfig())
+    _build_below(f, n, SearchConfig().budget)
+    gs = _classes(f, n)
+    if not gs:
+        raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
+    maximal = [g for g in gs if _is_edge_maximal(g, f)]
+    full, edge_maximal = (_best(g, (measure,))[measure][0] for g in (gs, maximal))
+    return abs(full - edge_maximal) <= VALUE_TOL

@@ -297,9 +297,9 @@ class TestAutomorphisms:
     def test_mask_orbits_match_every_automorphism(self):
         # the oracle maps each mask search._children forms through every
         # automorphism that itertools.permutations finds, then twin-normalises.
-        # The automorphisms _canonical returns keep twin-normal masks
-        # twin-normal on these graphs, so the whole group is also given as
-        # generators: its twin swaps leave images that need normalising
+        # The automorphisms _canonical returns keep twin order, so orbit
+        # leaves its images as they are; the whole group, given as
+        # generators, does not, so those images are normalised here
         for n in range(1, 7):
             for g in search.enumerate_free(n):
                 rows, _, autos = graphs._canonical(n, g.adj)
@@ -318,7 +318,33 @@ class TestAutomorphisms:
                         for a in group
                     }
                     assert graphs.orbit(mask, autos, twins) == naive, (g, mask)
-                    assert graphs.orbit(mask, group, twins) == naive, (g, mask)
+                    images = graphs.orbit(mask, group, twins)
+                    assert {graphs.twin_normal(m, twins) for m in images} == naive
+
+    @staticmethod
+    def assert_twin_order(g):
+        # each returned automorphism maps every twin class onto a twin class
+        # in increasing order, so graphs.orbit need not normalise its images
+        rows, _, autos = graphs._canonical(g.n, g.adj)
+        classes = set(graphs.twin_classes(rows))
+        for a in autos:
+            for cls in classes:
+                image = tuple(a[v] for v in cls)
+                assert image in classes, (g, a, cls)
+
+    def test_automorphisms_keep_twin_order(self):
+        rng = np.random.default_rng(7)
+        symmetric = [
+            graphs.petersen(),
+            graphs.disjoint_union([graphs.cycle(5)] * 3),
+            graphs.complete_bipartite(3, 3),
+            graphs.turan(3, 9),
+            graphs.disjoint_union([graphs.complete(3)] * 4),
+            graphs.cycle(12),
+        ]
+        for g in [g for n in range(1, 8) for g in search.enumerate_free(n)] + symmetric:
+            self.assert_twin_order(g)
+            self.assert_twin_order(g.relabel([int(v) for v in rng.permutation(g.n)]))
 
     def test_start_mask_is_twin_normalised(self):
         # no automorphism is returned for the empty graph, so only the

@@ -286,32 +286,54 @@ class TestOrbitAugmentation:
                 assert accepted == len(enumerate_free(n, f)), (f, n)
 
     def test_every_accepted_class_is_labelled_once(self, monkeypatch):
-        # the stored automorphisms are automorphisms of the parent's rows and
-        # cut its masks to one per orbit of Aut(P), so each accepted class is
-        # labelled once from its parent; without them the twin-normal masks
-        # of one orbit are all labelled, and the same classes are accepted
-        real = graphs._canonical
-        labelled = []
+        # _children labels the ties and _level the children it left
+        # unlabelled.  The stored automorphisms are automorphisms of the
+        # parent's rows and cut its masks to one per orbit of Aut(P), so
+        # while _level stores a level each class is labelled once from its
+        # parent; without them the twin-normal masks of one orbit are all
+        # labelled, and the same classes are stored
+        real_canonical = graphs._canonical
+        real_children = search._children
+        # per parent: its labellings, and the canonical rows it accepted
+        per_parent = []
 
-        def recording(n, adj):
-            out = real(n, adj)
-            labelled.append(out[0])
+        def canonical(n, adj):
+            out = real_canonical(n, adj)
+            per_parent[-1][0].append(out[0])
             return out
+
+        def children(parent, f, autos):
+            per_parent.append(([], []))
+            accepted, examined = real_children(parent, f, autos)
+            per_parent[-1][1].extend(
+                rows if a is not None else real_canonical(parent.n + 1, rows)[0]
+                for rows, a in accepted
+            )
+            return accepted, examined
 
         for f in (None, pattern_by_name("C4")):
             enumerate_free(7, f)
-            monkeypatch.setattr(graphs, "_canonical", recording)
-            for n in range(1, 7):
-                reps, autos = search._LEVELS[(search._pattern_key(f), n)]
-                for parent, stored in zip(reps, autos):
+            pk = search._pattern_key(f)
+            for n in range(2, 8):
+                reps, autos = search._LEVELS.pop((pk, n))
+                parents, parent_autos = search._LEVELS[(pk, n - 1)]
+                for parent, stored in zip(parents, parent_autos):
                     for a in stored:
                         assert parent.relabel(list(a)).adj == parent.adj
-                    labelled.clear()
-                    accepted, _ = search._children(parent, f, stored)
-                    assert all(labelled.count(rows) == 1 for rows in accepted)
-                    plain, _ = search._children(parent, f, ())
-                    assert set(accepted) == set(plain)
-            monkeypatch.setattr(graphs, "_canonical", real)
+                for stored in (parent_autos, ((),) * len(parents)):
+                    search._LEVELS[(pk, n - 1)] = (parents, stored)
+                    per_parent.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(graphs, "_canonical", canonical)
+                        m.setattr(search, "_children", children)
+                        rebuilt = search._level(f, n)
+                    del search._LEVELS[(pk, n)]
+                    assert [g.adj for g in rebuilt] == [g.adj for g in reps]
+                    if stored is parent_autos:
+                        for labelled, accepted in per_parent:
+                            assert all(labelled.count(rows) == 1 for rows in accepted)
+                search._LEVELS[(pk, n - 1)] = (parents, parent_autos)
+                search._LEVELS[(pk, n)] = (reps, autos)
 
 
 class TestTwinClasses:
@@ -479,6 +501,18 @@ class TestMaximalMode:
             for measure in ("edges", "q"):
                 assert equivalence_check(6, pattern_by_name(name), measure)
 
+    def test_equivalence_builds_the_top_level_once(self, monkeypatch):
+        # one list of level 7 serves the full and the edge-maximal extremum
+        f = pattern_by_name("K4")
+        search.clear_caches()
+        masked = _counting(monkeypatch, search, "_masks", lambda p, f, a: (p.n, p.adj))
+        assert equivalence_check(7, f, "q")
+        parents = [p.adj for p in search._level(f, 6)]
+        assert len(parents) == 120
+        assert all(masked[6, adj] == 1 for adj in parents)
+        assert (search._pattern_key(f), 7) not in search._LEVELS
+        search.clear_caches()
+
 
 class TestExtremal:
     def test_mantel_edges(self):
@@ -530,6 +564,8 @@ class TestExtremal:
     def test_unknown_measure(self):
         with pytest.raises(SearchError):
             extremal(4, pattern_by_name("K3"), "girth")
+        with pytest.raises(SearchError, match="unknown measure"):
+            equivalence_check(4, pattern_by_name("K3"), "girth")
 
     def test_empty_level_errors(self):
         # K_{1,2}-free graphs exist at every n (matchings), but K2-free
@@ -540,6 +576,8 @@ class TestExtremal:
         f = ForbiddenPattern.from_graph(graphs.empty(1))
         with pytest.raises(SearchError):
             extremal(3, f, "edges")
+        with pytest.raises(SearchError, match="no .*-free graphs on 3 vertices"):
+            equivalence_check(3, f, "edges")
 
 
 def _labelled_record(f, n, measure, config):
@@ -603,8 +641,9 @@ class TestTopLevel:
         # n = 1..6 are labelled again, 6 more; the unstored top level 7
         # labels its ties and its children near a maximum, 250 labellings
         # for 685 classes where the stored level made 726.  So 424 in all,
-        # against 894 before.  A warm table reads every record and builds
-        # nothing
+        # against 894 before.  Every parent of levels 1..6 goes through
+        # _children once, the top level's included: 166 calls.  A warm
+        # table reads every record and builds nothing
         f = pattern_by_name("K4")
         patterns._plans(f.graph)  # labels K4 itself
         config = SearchConfig(cache_dir=str(tmp_path))
@@ -615,7 +654,7 @@ class TestTopLevel:
             table = verify.convergence_table(f, 7, config)
             assert len(table.rows) == 7 and not table.partial
             assert sum(labelled.values()) == expected
-            assert sum(children.values()) == (46 if expected else 0)
+            assert sum(children.values()) == (166 if expected else 0)
             monkeypatch.undo()
         search.clear_caches()
 
@@ -679,7 +718,8 @@ class TestTopLevel:
     )
     def test_no_level_is_built_twice(self, monkeypatch, check):
         # the checks walk n = 2..7 (3..7) in one range, so levels 1..6 are
-        # built and stored once and the top level 7 once, unstored; one
+        # built and stored once and the top level 7 once, unstored: each
+        # parent of levels 1..6 goes through _masks and _children once.  One
         # extremal call per n would build each level twice, once unstored
         search.clear_caches()
         masked = _counting(monkeypatch, search, "_masks", lambda p, f, a: (p.n, p.adj))
@@ -692,7 +732,7 @@ class TestTopLevel:
         for n, _ in masked:
             parents[n] = parents.get(n, 0) + 1
         assert parents == stored
-        assert children == {n: stored[n] for n in range(1, 6)}
+        assert children == stored
         search.clear_caches()
 
 
