@@ -74,12 +74,33 @@ vertex order; the record is the one the stored level gives.
 pass over each level, so a range builds each level once, where
 ascending ``extremal`` calls build each one twice: unstored as a top
 level, then stored as a parent.
+
+The top level is bounded by an incumbent, the Turán graph T_r(n) with
+r = min(chi(F) - 1, n): it is r-colourable, so F-free, and no extremal
+value lies below its value.  Each measure has an upper bound in n and the
+edge count m alone (``_EDGE_BOUNDS``): m itself, Stanley's
+lambda <= (sqrt(1 + 8m) - 1)/2 and Feng and Yu's q <= 2m/(n - 1) + n - 2.
+``_least_edges`` turns them into one integer per request, the fewest
+edges with which some requested measure can reach T's value less
+VALUE_TOL + 2e-9, a margin 1e-9 wider than ``_best``'s window that
+absorbs the last bits in which T's rows and canonical rows differ.  A
+parent whose children cannot have that many edges, even with the new
+vertex joined to all of it, is skipped before its forbidden sets are
+built, and ``_masks`` drops the masks too small to reach it first.  A
+dropped child lies strictly below the window, so the records do not
+change; the budget and ``graphs_examined`` still count every mask.  With
+chi(F) <= 2 there is no incumbent and nothing is dropped, and stored
+levels are never bounded.  ``equivalence_check`` reads the whole top
+level: in maximal mode the incumbent is reached only through an
+edge-maximal supergraph of T, so the bound relies on the
+edge-monotonicity that check tests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, asdict
@@ -100,6 +121,15 @@ HARD_CAP = 12
 # two values within VALUE_TOL are equal: the witness window of extremal,
 # equivalence_check and verify's star check all decide by it
 VALUE_TOL = 1e-9
+
+# upper bounds on each measure of a graph with n >= 2 vertices and m edges:
+# m itself, Stanley's for lambda (Linear Algebra Appl. 87 (1987)) and Feng
+# and Yu's for q (Publ. Inst. Math. 85 (2009))
+_EDGE_BOUNDS = {
+    "edges": lambda n, m: m,
+    "lambda": lambda n, m: (math.sqrt(1 + 8 * m) - 1) / 2,
+    "q": lambda n, m: 2 * m / (n - 1) + n - 2,
+}
 
 # hashed into every cache key; bump it when a record's format or the
 # meaning of one of its fields changes, so older records become misses
@@ -186,11 +216,12 @@ def _twin_masks(n: int, twins) -> list:
     return masks
 
 
-def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos) -> list:
+def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos, least: int) -> list:
     """The mask stage of ``_children``: (mask, ties) for one mask per orbit
     of Aut(P) among those that pass every filter, where ties is the set of
     parent vertices whose deletion key equals the new vertex's, 0 when the
-    new vertex is the unique maximum.
+    new vertex is the unique maximum.  Masks that give the child fewer than
+    ``least`` edges are dropped first (see ``_least_edges``).
 
     ``parent`` must be canonically labelled, and ``autos`` are
     automorphisms of its rows.  Those its labelling returned generate
@@ -208,6 +239,9 @@ def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos) -> list:
     adj = parent.adj
     twins = graphs.twin_prefixes(adj)
     masks = _twin_masks(n, twins)
+    if least:
+        need = least - parent.edge_count()
+        masks = [m for m in masks if m.bit_count() >= need]
     if f is not None:
         forbidden = forbidden_sets(parent, f.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
@@ -248,17 +282,20 @@ def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos) -> list:
     return kept
 
 
-def _children(parent: Graph, f: Optional[ForbiddenPattern], autos) -> tuple:
-    """The accepted children of ``parent`` as (rows, automorphisms), and
-    the candidates examined, every mask.  A child whose new vertex is the
-    unique maximum of the key (``ties`` 0 in ``_masks``) is the parent
-    plus that vertex, so it is accepted unlabelled, on those rows, with
-    automorphisms None.  On a tie the labelling names the deletion vertex
-    w, and the child is accepted iff the new vertex lies in the orbit of w
-    under its automorphisms, and comes on its canonical rows with them."""
+def _children(
+    parent: Graph, f: Optional[ForbiddenPattern], autos, least: int = 0
+) -> tuple:
+    """The accepted children of ``parent`` with at least ``least`` edges as
+    (rows, automorphisms), and the candidates examined, every mask.  A
+    child whose new vertex is the unique maximum of the key (``ties`` 0 in
+    ``_masks``) is the parent plus that vertex, so it is accepted
+    unlabelled, on those rows, with automorphisms None.  On a tie the
+    labelling names the deletion vertex w, and the child is accepted iff
+    the new vertex lies in the orbit of w under its automorphisms, and
+    comes on its canonical rows with them."""
     n = parent.n
     children = []
-    for mask, ties in _masks(parent, f, autos):
+    for mask, ties in _masks(parent, f, autos, least):
         child = _extend(parent, mask)
         if not ties:
             children.append((child.adj, None))
@@ -316,17 +353,21 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
     return reps
 
 
-def _classes(f: Optional[ForbiddenPattern], n: int):
+def _classes(f: Optional[ForbiddenPattern], n: int, least: int = 0):
     """One graph per F-free class on n vertices: the stored level if there
     is one, else the top level, ``_children`` over the stored level n - 1,
-    which is not stored and, but for its ties, not labelled."""
+    which is not stored and, but for its ties, not labelled.  The top level
+    keeps only the classes with at least ``least`` edges: a parent whose
+    child cannot reach it, with the new vertex joined to all n - 1 of its
+    vertices, is skipped before its forbidden sets are built."""
     key = (_pattern_key(f), n)
     if n == 1 or key in _LEVELS:
         return _level(f, n)
     return [
         graphs._unchecked(n, rows)
         for parent, autos in zip(*_LEVELS[(key[0], n - 1)])
-        for rows, _ in _children(parent, f, autos)[0]
+        if parent.edge_count() + n - 1 >= least
+        for rows, _ in _children(parent, f, autos, least)[0]
     ]
 
 
@@ -485,6 +526,27 @@ def _best(gs, measures) -> dict:
     return out
 
 
+def _least_edges(f: ForbiddenPattern, n: int, measures) -> int:
+    """The fewest edges m for which, for one of ``measures``, the bound
+    ``_EDGE_BOUNDS[measure](n, m)`` reaches the incumbent's value less
+    VALUE_TOL + 2e-9.  The incumbent is T_r(n) with r = min(chi(F) - 1, n):
+    it is r-colourable, so F-free, and no maximum lies below its value.  So
+    a graph with fewer edges lies below ``_best``'s window for every
+    measure, by 1e-9 more than that window, which absorbs the last bits in
+    which T's rows and canonical rows differ, and T_r(n) keeps enough
+    edges.  0, pruning nothing, when r < 2 (chi(F) <= 2)."""
+    r = min(f.chi - 1, n)
+    if r < 2:
+        return 0
+    t = graphs.turan(r, n)
+    least = t.edge_count()
+    for measure in measures:
+        floor = _values([t], measure)[0] - VALUE_TOL - 2e-9
+        bound = _EDGE_BOUNDS[measure]
+        least = next((m for m in range(least) if bound(n, m) >= floor), least)
+    return least
+
+
 def extremal_records(
     f: ForbiddenPattern,
     n_values,
@@ -499,10 +561,13 @@ def extremal_records(
     written back, and a write that fails with an ``OSError`` is dropped,
     so the disk cache never fails a run.  The top level, the largest n
     with a record to compute, comes from ``_classes``: unless it is
-    stored, it is not stored and only its ties are labelled, and ``_best``
-    reads every measure of it from that one pass.  The levels below are
-    built and stored once, by ``_build_below`` and ``_level``, within
-    ``config.budget``; a ``BudgetExceededError`` is raised where
+    stored, it is not stored, only its ties are labelled, and it holds only
+    the classes with at least ``_least_edges`` edges, those whose edge
+    count lets one of the measures to compute reach the Turán incumbent
+    T_min(chi(F)-1, n)(n); with chi(F) <= 2 it holds every class.
+    ``_best`` reads every measure of it from that one pass.  The levels
+    below are built and stored once, by ``_build_below`` and ``_level``,
+    within ``config.budget``; a ``BudgetExceededError`` is raised where
     ``enumerate_free`` raises it, after the records of smaller n are
     yielded."""
     config = config or SearchConfig()
@@ -532,7 +597,10 @@ def extremal_records(
         todo = [m for m in measures if (n, m) not in records]
         if todo:
             examined = _build_below(f, n, config.budget)
-            gs = _classes(f, n) if n == top else _level(f, n)
+            if n == top:
+                gs = _classes(f, n, _least_edges(f, n, todo))
+            else:
+                gs = _level(f, n)
             if config.mode == MAXIMAL_ONLY:
                 gs = [g for g in gs if _is_edge_maximal(g, f)]
             if not gs:
@@ -567,7 +635,11 @@ def extremal(
 
     Unless level n is stored, it is the top level, ``_children`` over
     level n - 1: it is not stored, and only its ties and its children
-    within VALUE_TOL + 1e-9 of the maximum are labelled.  A later call for
+    within VALUE_TOL + 1e-9 of the maximum are labelled.  For chi(F) >= 3
+    it skips the children with too few edges to reach the value of the
+    incumbent T_min(chi(F)-1, n)(n) less VALUE_TOL + 2e-9 by the measure's
+    bound in the edge count (the count itself, Stanley's for lambda,
+    Feng and Yu's for q), so they are never built.  A later call for
     n + 1 must then build level n again, labelled and stored, as the
     parents of level n + 1, so ascending values of n belong in one
     ``extremal_records`` call, which builds each level once.  With
@@ -580,7 +652,10 @@ def extremal(
 
 def equivalence_check(n: int, f: ForbiddenPattern, measure: str) -> bool:
     """True iff full and edge-maximal enumeration agree on the extremum,
-    read as ``extremal`` reads it in each mode off one list of level n."""
+    read as ``extremal`` reads it in each mode off one list of level n.
+    That list is the whole level, never bounded by the Turán incumbent as
+    ``extremal``'s top level is: the bound is exact in maximal mode only
+    because the measures are edge-monotone, which this check tests."""
     if measure not in MEASURES:
         raise SearchError(f"unknown measure {measure!r}; known: {MEASURES}")
     _check_request(n, SearchConfig())

@@ -25,6 +25,7 @@ from tests.conftest import (
     all_labeled_graphs,
     canonical_graph,
     classes_naive,
+    contains_subgraph_naive,
     isomorphic_naive,
     reference_children,
     reference_to_graph6,
@@ -505,7 +506,9 @@ class TestMaximalMode:
         # one list of level 7 serves the full and the edge-maximal extremum
         f = pattern_by_name("K4")
         search.clear_caches()
-        masked = _counting(monkeypatch, search, "_masks", lambda p, f, a: (p.n, p.adj))
+        masked = _counting(
+            monkeypatch, search, "_masks", lambda p, f, a, least: (p.n, p.adj)
+        )
         assert equivalence_check(7, f, "q")
         parents = [p.adj for p in search._level(f, 6)]
         assert len(parents) == 120
@@ -635,26 +638,56 @@ class TestTopLevel:
                 got = [(repr(r.value), r.witnesses) for r in records]
                 assert got == expected, (name, n, mode)
 
+    def test_incumbent_bounds_hold(self):
+        # the top level drops the classes with fewer than _least_edges
+        # edges, which is exact if (1) each bound of _EDGE_BOUNDS holds at
+        # a graph's own edge count, (2) the incumbent T_r(n) is F-free and
+        # (3) no witness of a record has fewer edges
+        for n in range(2, 8):
+            reps = enumerate_free(n)
+            m = [g.edge_count() for g in reps]
+            for measure in MEASURES:
+                bound = search._EDGE_BOUNDS[measure]
+                for g, e, v in zip(reps, m, search._values(reps, measure)):
+                    assert v <= bound(n, e) + 1e-12, (measure, graphs.to_graph6(g))
+        for name in PATTERN_NAMES:
+            f = pattern_by_name(name)
+            if f.chi < 3:
+                continue
+            for n in range(1, 9):
+                t = graphs.turan(min(f.chi - 1, n), n)
+                assert not contains_subgraph_naive(t, f.graph), (name, n)
+        for name, n in self.CASES:
+            f = pattern_by_name(name)
+            for measure in MEASURES:
+                least = search._least_edges(f, n, (measure,))
+                _, witnesses = _labelled_record(f, n, measure, SearchConfig())
+                edges = [graphs.from_graph6(w).edge_count() for w in witnesses]
+                assert least <= min(edges), (name, n, measure)
+
     def test_table_labelling_count_pinned(self, monkeypatch, tmp_path):
         # levels 2..6 make the 168 labellings they made when every level
         # was stored, and the children near each measure's maximum at
         # n = 1..6 are labelled again, 6 more; the unstored top level 7
-        # labels its ties and its children near a maximum, 250 labellings
-        # for 685 classes where the stored level made 726.  So 424 in all,
-        # against 894 before.  Every parent of levels 1..6 goes through
-        # _children once, the top level's included: 166 calls.  A warm
-        # table reads every record and builds nothing
+        # keeps only the children with at least 13 edges (_least_edges:
+        # T_3(7) has 16, and Stanley's and Feng and Yu's bounds reach its
+        # lambda and q from 13) and labels their ties and those near a
+        # maximum, 23 labellings.  So 197 in all, against 424 when the top
+        # level was not bounded and 894 when it was stored.  Every parent of
+        # levels 1..5 goes through _children once (46 calls), and so do
+        # the 67 parents of level 6 with at least 13 - 6 edges: 113 calls.
+        # A warm table reads every record and builds nothing
         f = pattern_by_name("K4")
         patterns._plans(f.graph)  # labels K4 itself
         config = SearchConfig(cache_dir=str(tmp_path))
-        for expected in (424, 0):
+        for expected in (197, 0):
             search.clear_caches()
             labelled = _counting(monkeypatch, graphs, "_canonical", lambda n, adj: n)
             children = _counting(monkeypatch, search, "_children", lambda *a: None)
             table = verify.convergence_table(f, 7, config)
             assert len(table.rows) == 7 and not table.partial
             assert sum(labelled.values()) == expected
-            assert sum(children.values()) == (166 if expected else 0)
+            assert sum(children.values()) == (113 if expected else 0)
             monkeypatch.undo()
         search.clear_caches()
 
@@ -709,21 +742,28 @@ class TestTopLevel:
         search.clear_caches()
 
     @pytest.mark.parametrize(
-        "check",
+        "check, bounded",
         [
-            lambda: verify.check_monotone_sequence(pattern_by_name("K4"), 7),
-            lambda: verify.check_star_theorem(3, 7),
+            (lambda: verify.check_monotone_sequence(pattern_by_name("K4"), 7), True),
+            (lambda: verify.check_star_theorem(3, 7), False),
         ],
         ids=["monotone", "star"],
     )
-    def test_no_level_is_built_twice(self, monkeypatch, check):
+    def test_no_level_is_built_twice(self, monkeypatch, check, bounded):
         # the checks walk n = 2..7 (3..7) in one range, so levels 1..6 are
         # built and stored once and the top level 7 once, unstored: each
-        # parent of levels 1..6 goes through _masks and _children once.  One
-        # extremal call per n would build each level twice, once unstored
+        # parent of levels 1..6 goes through _masks and _children at most
+        # once.  One extremal call per n would build each level twice, once
+        # unstored.  K4's top level skips the parents of level 6 whose
+        # children cannot reach T_3(7); a star has chi = 2, so no incumbent
+        # bounds its top level and every parent goes through once
         search.clear_caches()
-        masked = _counting(monkeypatch, search, "_masks", lambda p, f, a: (p.n, p.adj))
-        children = _counting(monkeypatch, search, "_children", lambda p, f, a: p.n)
+        masked = _counting(
+            monkeypatch, search, "_masks", lambda p, f, a, least: (p.n, p.adj)
+        )
+        children = _counting(
+            monkeypatch, search, "_children", lambda p, f, a, least=0: p.n
+        )
         assert check().passed
         stored = {n: len(reps) for (_, n), (reps, _) in search._LEVELS.items()}
         assert sorted(stored) == [1, 2, 3, 4, 5, 6]
@@ -731,8 +771,12 @@ class TestTopLevel:
         parents = {}
         for n, _ in masked:
             parents[n] = parents.get(n, 0) + 1
-        assert parents == stored
-        assert children == stored
+        assert parents == children
+        if bounded:
+            assert all(parents[n] == stored[n] for n in range(1, 6))
+            assert 0 < parents[6] < stored[6]
+        else:
+            assert parents == stored
         search.clear_caches()
 
 
