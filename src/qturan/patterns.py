@@ -51,7 +51,7 @@ def _pattern_graph(f) -> Graph:
 
 @lru_cache(maxsize=4096)
 def _plans(pg: Graph) -> tuple:
-    """One embedding plan ``(k, back)`` per anchor vertex p of F.
+    """One embedding plan ``(k, back, rise)`` per anchor vertex p of F.
 
     F is labelled once by ``graphs._canonical``, and each orbit of Aut(F)
     on its canonical rows gives one anchor, its lowest vertex: p is an
@@ -63,6 +63,17 @@ def _plans(pg: Graph) -> tuple:
     within each part it takes the vertex with the most edges to those
     already placed, ties broken by degree.  ``back[d]`` lists the earlier
     slots adjacent to slot d.
+
+    ``rise`` is k when every permutation of N_F(p) extends to an
+    automorphism of F that fixes p, else 0; ``_fills`` then demands
+    increasing host vertices in slots 1..rise.  That is exact for every
+    search the plan serves: composing an embedding phi with such an
+    automorphism s gives phi o s, with the same image and the images of
+    N_F(p) in any order, so some embedding with a given image has them in
+    increasing order.  The induced permutations form a group, so it is
+    the whole symmetric group iff it holds each swap of neighbouring
+    slots; a swap extends iff the plan, started from slots 0..k so
+    filled, embeds F in itself, which is an automorphism.
     """
     adj, _, autos = graphs._canonical(pg.n, pg.adj)
     twins = graphs.twin_prefixes(adj)
@@ -89,16 +100,27 @@ def _plans(pg: Graph) -> tuple:
             tuple(j for j in range(d) if (adj[order[j]] >> u) & 1)
             for d, u in enumerate(order)
         )
-        plans.append((adj[p].bit_count(), back))
+        k = adj[p].bit_count()
+        placed = sum(1 << u for u in order[: k + 1])
+        swaps = []
+        for d in range(2, k + 1):
+            img = order.copy()
+            img[d - 1], img[d] = img[d], img[d - 1]
+            swaps.append(
+                all(adj[img[e]] >> img[j] & 1 for e in range(k + 1) for j in back[e])
+                and _completes(adj, back, 0, img, k + 1, placed)
+            )
+        plans.append((k, back, k if all(swaps) else 0))
     return tuple(plans)
 
 
-def _fills(adj, back, img, d, stop, used):
+def _fills(adj, back, rise, img, d, stop, used):
     """Yield the used-vertex mask once per way to fill slots d..stop-1.
 
     Slots below d already hold their host vertices in ``img`` and their
     bits in ``used``; slot d may take any unused host vertex adjacent to
-    the images of the slots in ``back[d]``.
+    the images of the slots in ``back[d]``, and above the image of slot
+    d - 1 if 1 < d <= ``rise`` (see ``_plans``).
     """
     if d == stop:
         yield used
@@ -106,15 +128,17 @@ def _fills(adj, back, img, d, stop, used):
     cand = ((1 << len(adj)) - 1) & ~used
     for j in back[d]:
         cand &= adj[img[j]]
+    if 1 < d <= rise:
+        cand &= -2 << img[d - 1]
     while cand:
         low = cand & -cand
         cand ^= low
         img[d] = low.bit_length() - 1
-        yield from _fills(adj, back, img, d + 1, stop, used | low)
+        yield from _fills(adj, back, rise, img, d + 1, stop, used | low)
 
 
-def _completes(adj, back, img, d, used) -> bool:
-    return any(True for _ in _fills(adj, back, img, d, len(back), used))
+def _completes(adj, back, rise, img, d, used) -> bool:
+    return any(True for _ in _fills(adj, back, rise, img, d, len(back), used))
 
 
 def contains_subgraph(host: Graph, f, anchor: Optional[int] = None) -> bool:
@@ -132,11 +156,12 @@ def contains_subgraph(host: Graph, f, anchor: Optional[int] = None) -> bool:
     img = [0] * pg.n
     if anchor is None:
         # a maximum-degree anchor first: its slot constrains the most others
-        back = max(_plans(pg), key=lambda plan: plan[0])[1]
-        return _completes(host.adj, back, img, 0, 0)
+        _, back, rise = max(_plans(pg), key=lambda plan: plan[0])
+        return _completes(host.adj, back, rise, img, 0, 0)
     img[0] = anchor
     return any(
-        _completes(host.adj, back, img, 1, 1 << anchor) for _, back in _plans(pg)
+        _completes(host.adj, back, rise, img, 1, 1 << anchor)
+        for _, back, rise in _plans(pg)
     )
 
 
@@ -158,10 +183,10 @@ def forbidden_sets(parent: Graph, pg: Graph) -> tuple:
     adj = parent.adj + (new - 1,)
     img = [n] * pg.n
     found = set()
-    for k, back in _plans(pg):
-        for used in _fills(adj, back, img, 1, k + 1, new):
+    for k, back, rise in _plans(pg):
+        for used in _fills(adj, back, rise, img, 1, k + 1, new):
             s = used ^ new
-            if s not in found and _completes(adj, back, img, k + 1, used):
+            if s not in found and _completes(adj, back, rise, img, k + 1, used):
                 found.add(s)
     minimal = []
     for s in sorted(found, key=int.bit_count):

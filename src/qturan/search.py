@@ -48,9 +48,15 @@ is exact only because every parent is F-free, so every copy of F in a
 child passes through the new vertex.  This filter runs after the twin
 filter and before the degree filter.
 
-Each level is built on one thread, parent by parent, and sorted into
-canonical graph6 order by ``graphs.order_key``, so its order does not
-depend on the deletion rule.  Level n examines all 2^(n-1) masks of every
+Each level is built parent by parent and sorted into canonical graph6
+order by ``graphs.order_key``, so its order does not depend on the
+deletion rule.  ``_grow`` builds every level extended from a stored one,
+stored or top: it deals the parents by index mod W, as geng's res/mod
+splits a run, over W - 1 children made with ``os.fork`` and the calling
+process (``_deal``), and puts what they send back in parent order, so no
+level, order or automorphism depends on W.  W is one per
+``PARALLEL_COST`` candidates, at most one per CPU the process may use
+(``_workers``).  Level n examines all 2^(n-1) masks of every
 class on n - 1 vertices, so its cost is known before it is built: the
 budget is checked once per level against that cost, a level it cannot
 cover is never started, and the candidates examined never exceed it.
@@ -62,10 +68,10 @@ applies the filters above and keeps one mask per orbit with its tie set.
 A child whose new vertex is the unique maximum of the key is accepted on
 the key alone and left unlabelled, on its parent's rows plus the new
 vertex, as McKay's geng emits it; only ties are labelled.  A stored level
-(``_level``, so ``enumerate_free``) labels the children it stores.  An
-extremal request stores only the levels that serve as parents: its top
-level, the largest n with a record to compute and no stored level, is
-``_children`` over level n - 1 and is not stored.  Each
+(``_level``, so ``enumerate_free``) has ``_grow`` label the children it
+stores.  An extremal request stores only the levels that serve as
+parents: its top level, the largest n with a record to compute and no
+stored level, is ``_children`` over level n - 1 and is not stored.  Each
 measure is evaluated once over the top level, and the children within
 VALUE_TOL + 1e-9 of its maximum are labelled and evaluated again on
 their canonical rows, since the last bits of ``eigvalsh`` depend on the
@@ -88,21 +94,27 @@ parent whose children cannot have that many edges, even with the new
 vertex joined to all of it, is skipped before its forbidden sets are
 built, and ``_masks`` drops the masks too small to reach it first.  A
 dropped child lies strictly below the window, so the records do not
-change; the budget and ``graphs_examined`` still count every mask.  With
-chi(F) <= 2 there is no incumbent and nothing is dropped, and stored
-levels are never bounded.  ``equivalence_check`` reads the whole top
-level: in maximal mode the incumbent is reached only through an
-edge-maximal supergraph of T, so the bound relies on the
+change; the budget and ``graphs_examined`` still count every mask.  The
+top level keeps the children that reach the smallest of the requested
+measures' thresholds, and each measure is evaluated only on those that
+reach its own.  With chi(F) <= 2 there is no incumbent and nothing is
+dropped, and stored levels are never bounded.  ``equivalence_check``
+reads the whole top level: in maximal mode the incumbent is reached only
+through an edge-maximal supergraph of T, so the bound relies on the
 edge-monotonicity that check tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import threading
+import traceback
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -130,6 +142,12 @@ _EDGE_BOUNDS = {
     "lambda": lambda n, m: (math.sqrt(1 + 8 * m) - 1) / 2,
     "q": lambda n, m: 2 * m / (n - 1) + n - 2,
 }
+
+# candidates per process below which a level is not dealt out: a fork, its
+# pipe and its reaping cost 2.2 to 2.5 ms on a two-core host, against 5 to
+# 7 us per candidate at n = 7, so a share of PARALLEL_COST candidates (20 to
+# 30 ms) repays the extra process about ninefold (see _workers)
+PARALLEL_COST = 4096
 
 # hashed into every cache key; bump it when a record's format or the
 # meaning of one of its fields changes, so older records become misses
@@ -322,11 +340,124 @@ def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
     return len(_LEVELS[(_pattern_key(f), n - 1)][0]) << (n - 1)
 
 
+def _workers(candidates: int) -> int:
+    """The processes that build a level of ``candidates`` candidates: one
+    per ``PARALLEL_COST`` candidates, at most one per CPU this process may
+    use and at least one; one where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, candidates // PARALLEL_COST))
+
+
+def _serve(fd: int, inherited, work, items):
+    """The body of a forked worker: close the ``inherited`` read ends, send
+    ``[work(item) for item in items]``, or the traceback of what it raised,
+    as one pickle to the pipe ``fd``, and leave by ``os._exit``, so no
+    atexit handler runs and no copy of the parent's buffered output is
+    flushed.  Never returns."""
+    code = 1
+    try:
+        for r in inherited:
+            os.close(r)
+        try:
+            payload = (True, [work(item) for item in items])
+        except BaseException:
+            payload = (False, traceback.format_exc())
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _deal(work, items: list, workers: int) -> list:
+    """``[work(item) for item in items]``, with item i dealt to worker
+    i mod ``workers``, as geng's res/mod splits a run.  Worker 0 is this
+    process; the others are children made with ``os.fork`` that each send
+    their share back through a pipe (``_serve``).  The results come back in
+    item order, so they do not depend on ``workers``.  A child's failure is
+    raised here, and every child is killed, if it is still running, and
+    reaped before this returns or raises: once its share is read it has
+    nothing left to do.  Children are forked, not spawned, so they read
+    the stored levels in place instead of receiving them pickled; so
+    ``work`` must not call numpy, whose BLAS threads exist only in the
+    parent, nor take a lock another thread of the parent may hold."""
+    if workers <= 1:
+        return [work(item) for item in items]
+    pids, pipes = [], []
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(w, pipes, work, items[j::workers])
+                pids.append(pid)
+            finally:
+                os.close(w)
+        shares = [[work(item) for item in items[::workers]]]
+        for pid, r in zip(pids, pipes):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                ok, share = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(f"level worker {pid} died without a result") from None
+            if not ok:
+                raise RuntimeError(f"level worker {pid} failed:\n{share}")
+            shares.append(share)
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(items))]
+
+
+def _grow(f: Optional[ForbiddenPattern], n: int, least: int = 0, label: bool = False):
+    """The accepted children of the stored level n - 1 with at least
+    ``least`` edges, one list per parent extended, in the stored order: the
+    children's rows, or with ``label`` each child's canonical rows followed
+    by its automorphisms as bytes (n <= HARD_CAP): bytes take less memory
+    than tuples of ints, and the flat list less than pairs.  A parent whose
+    children cannot reach ``least``, even with the new vertex joined to all
+    n - 1 of its vertices, is skipped before its forbidden sets are built.
+    The parents extended are dealt over ``_workers`` processes by
+    ``_deal``, so neither the children nor their order depend on the
+    worker count."""
+
+    def work(item):
+        parent, parent_autos = item
+        children = _children(parent, f, parent_autos, least)[0]
+        if not label:
+            return [rows for rows, _ in children]
+        out = []
+        for rows, autos in children:
+            if autos is None:
+                rows, _, autos = graphs._canonical(n, rows)
+            out += rows, tuple(map(bytes, autos))
+        return out
+
+    items = [
+        item
+        for item in zip(*_LEVELS[(_pattern_key(f), n - 1)])
+        if item[0].edge_count() + n - 1 >= least
+    ]
+    return _deal(work, items, _workers(len(items) << (n - 1)))
+
+
 def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
     """Representatives of F-free classes on n vertices, in canonical graph6
     order and stored on their canonical rows, with their automorphisms
-    beside them; the children ``_children`` leaves unlabelled are labelled
-    here, so each class is labelled once.  Level n - 1 must be cached."""
+    beside them; ``_grow`` labels the children ``_children`` leaves
+    unlabelled, so each class is labelled once.  Level n - 1 must be
+    cached."""
     key = (_pattern_key(f), n)
     hit = _LEVELS.get(key)
     if hit is not None:
@@ -336,15 +467,10 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
         reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
         autos = ((),) * len(reps)
     else:
-        found = {}
-        for parent, parent_autos in zip(*_LEVELS[(key[0], n - 1)]):
-            for rows, autos in _children(parent, f, parent_autos)[0]:
-                if autos is None:
-                    rows, _, autos = graphs._canonical(n, rows)
-                # bytes (n <= HARD_CAP) take less memory than tuples of ints
-                found[rows] = tuple(map(bytes, autos))
+        flat = itertools.chain.from_iterable(_grow(f, n, label=True))
+        found = dict(zip(flat, flat))
         # each class has exactly one parent, so sorting makes the order
-        # independent of the deletion rule
+        # independent of the deletion rule and of the worker count
         reps = tuple(
             sorted((graphs._unchecked(n, r) for r in found), key=graphs.order_key)
         )
@@ -355,19 +481,16 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
 
 def _classes(f: Optional[ForbiddenPattern], n: int, least: int = 0):
     """One graph per F-free class on n vertices: the stored level if there
-    is one, else the top level, ``_children`` over the stored level n - 1,
+    is one, else the top level, ``_grow`` over the stored level n - 1,
     which is not stored and, but for its ties, not labelled.  The top level
-    keeps only the classes with at least ``least`` edges: a parent whose
-    child cannot reach it, with the new vertex joined to all n - 1 of its
-    vertices, is skipped before its forbidden sets are built."""
+    keeps only the classes with at least ``least`` edges."""
     key = (_pattern_key(f), n)
     if n == 1 or key in _LEVELS:
         return _level(f, n)
     return [
         graphs._unchecked(n, rows)
-        for parent, autos in zip(*_LEVELS[(key[0], n - 1)])
-        if parent.edge_count() + n - 1 >= least
-        for rows, _ in _children(parent, f, autos, least)[0]
+        for children in _grow(f, n, least)
+        for rows in children
     ]
 
 
@@ -498,9 +621,11 @@ def _values(gs, measure: str) -> list:
     return spectra.top_eigenvalues(gs, measure)
 
 
-def _best(gs, measures) -> dict:
-    """{measure: (value, witnesses)} over ``gs``, one graph per class on
-    any rows.  Each measure is evaluated once on every graph; those within
+def _best(gs, least: dict) -> dict:
+    """{measure: (value, witnesses)} for each measure of ``least`` over the
+    graphs of ``gs``, one graph per class on any rows, with at least
+    ``least[measure]`` edges (see ``_least_edges``).  Each measure is
+    evaluated once on each of those graphs; those within
     VALUE_TOL + 1e-9 of the largest value are labelled and evaluated again
     on their canonical rows, in ``graphs.order_key`` order, and the value
     is the largest of these and the witnesses the sorted graph6 of those
@@ -509,10 +634,12 @@ def _best(gs, measures) -> dict:
     canonical representatives give."""
     canonical = {}
     out = {}
-    for measure in measures:
-        values = _values(gs, measure)
+    edges = [g.edge_count() for g in gs]
+    for measure, m in least.items():
+        index = [i for i, e in enumerate(edges) if e >= m]
+        values = _values([gs[i] for i in index], measure)
         floor = max(values) - VALUE_TOL - 1e-9
-        near = [i for i, v in enumerate(values) if v >= floor]
+        near = [i for i, v in zip(index, values) if v >= floor]
         for i in near:
             if i not in canonical:
                 g = gs[i]
@@ -598,14 +725,16 @@ def extremal_records(
         if todo:
             examined = _build_below(f, n, config.budget)
             if n == top:
-                gs = _classes(f, n, _least_edges(f, n, todo))
+                least = {m: _least_edges(f, n, (m,)) for m in todo}
+                gs = _classes(f, n, min(least.values()))
             else:
+                least = dict.fromkeys(todo, 0)
                 gs = _level(f, n)
             if config.mode == MAXIMAL_ONLY:
                 gs = [g for g in gs if _is_edge_maximal(g, f)]
             if not gs:
                 raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
-            for measure, (value, witnesses) in _best(gs, todo).items():
+            for measure, (value, witnesses) in _best(gs, least).items():
                 record = ExtremalRecord(
                     n=n,
                     pattern=f.label(),
@@ -664,5 +793,5 @@ def equivalence_check(n: int, f: ForbiddenPattern, measure: str) -> bool:
     if not gs:
         raise SearchError(f"no {f.label()}-free graphs on {n} vertices")
     maximal = [g for g in gs if _is_edge_maximal(g, f)]
-    full, edge_maximal = (_best(g, (measure,))[measure][0] for g in (gs, maximal))
+    full, edge_maximal = (_best(g, {measure: 0})[measure][0] for g in (gs, maximal))
     return abs(full - edge_maximal) <= VALUE_TOL

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -255,9 +256,10 @@ def reference_children(parent, f):
 
 
 # -- reference embedding plans ----------------------------------------------
-# patterns._plans as it stood before it took one anchor per orbit of Aut(F):
-# one anchor per twin class, on F's own labels.  forbidden_sets must give
-# the same sets under both.
+# patterns._plans as it stood before it took one anchor per orbit of Aut(F)
+# and one ordering of N_F(p): one anchor per twin class, on F's own labels,
+# and no slot ordered (rise 0).  forbidden_sets must give the same sets
+# under both.
 
 
 def reference_plans(pg):
@@ -282,7 +284,7 @@ def reference_plans(pg):
             tuple(j for j in range(d) if pg.has_edge(order[j], u))
             for d, u in enumerate(order)
         )
-        plans.append((pg.degree(p), back))
+        plans.append((pg.degree(p), back, 0))
     return tuple(plans)
 
 
@@ -409,6 +411,18 @@ def eigen_equation_residual(g, result, u):
     x = result.vector
     s = sum(x[j] for j in g.neighbors(u))
     return abs((result.value - g.degree(u)) * x[u] - s)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or not
+    reaped: search._deal must reap every worker it forks."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test ({pid or 'still running'})")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -109,12 +110,29 @@ class TestContainment:
 
 
 class TestPlans:
-    """One plan per orbit of Aut(F) gives the forbidden sets of one plan
-    per twin class (reference_plans in tests/conftest.py)."""
+    """One plan per orbit of Aut(F), with one ordering of N_F(p) where the
+    stabiliser of p permutes it freely, gives the forbidden sets of one
+    plan per twin class with no ordering (reference_plans in
+    tests/conftest.py)."""
 
     PLAN_COUNTS = {
         "K3": 1, "K4": 1, "K5": 1, "C4": 1, "C5": 1, "C6": 1, "C7": 1,
         "petersen": 1, "K1_2": 2, "K1_3": 2, "K1_4": 2, "K2_3": 2,
+    }
+
+    # (k, rise) per plan: for every registry pattern the stabiliser of each
+    # anchor acts on its neighbours as the full symmetric group, so every
+    # plan orders all k of its neighbour slots.  The path P4 (Ch), the paw
+    # (Cx) and the bull (DyG) have anchors whose neighbours it does not
+    PLAN_RISES = {
+        "K3": ((2, 2),), "K4": ((3, 3),), "K5": ((4, 4),),
+        "C4": ((2, 2),), "C5": ((2, 2),), "C6": ((2, 2),), "C7": ((2, 2),),
+        "petersen": ((3, 3),), "K1_2": ((2, 2), (1, 1)),
+        "K1_3": ((3, 3), (1, 1)), "K1_4": ((4, 4), (1, 1)),
+        "K2_3": ((3, 3), (2, 2)),
+        "Ch": ((2, 0), (1, 1)),
+        "Cx": ((3, 0), (2, 0), (1, 1)),
+        "DyG": ((3, 0), (2, 2), (1, 1)),
     }
 
     def test_one_plan_per_orbit(self):
@@ -122,9 +140,37 @@ class TestPlans:
         for name, count in self.PLAN_COUNTS.items():
             assert len(patterns._plans(pattern_by_name(name).graph)) == count, name
 
-    @pytest.mark.parametrize("name", patterns.PATTERN_NAMES)
+    def test_rise_pinned(self):
+        assert set(patterns.PATTERN_NAMES) <= set(self.PLAN_RISES)
+        for spec, rises in self.PLAN_RISES.items():
+            plans = patterns._plans(patterns.parse_graph(spec))
+            assert tuple((k, rise) for k, _, rise in plans) == rises, spec
+
+    def test_rise_matches_the_automorphism_group(self):
+        # brute force over every vertex permutation: rise is k exactly when
+        # the automorphisms fixing p induce every permutation of N_F(p)
+        specs = [name for name in patterns.PATTERN_NAMES if name != "petersen"]
+        pgs = [patterns.parse_graph(s) for s in specs + ["Ch", "Cx", "DyG"]]
+        for k in range(1, 5):
+            pgs.extend(classes_naive(all_labeled_graphs(k)))
+        for pg in pgs:
+            autos = [
+                s
+                for s in itertools.permutations(range(pg.n))
+                if all(pg.has_edge(s[u], s[v]) for u, v in pg.edges())
+            ]
+            expected = set()
+            for p in range(pg.n):
+                nbrs = list(pg.neighbors(p))
+                induced = {tuple(s[u] for u in nbrs) for s in autos if s[p] == p}
+                full = len(induced) == math.factorial(len(nbrs))
+                expected.add((len(nbrs), len(nbrs) if full else 0))
+            plans = patterns._plans(pg)
+            assert {(k, rise) for k, _, rise in plans} == expected, graphs.to_graph6(pg)
+
+    @pytest.mark.parametrize("name", patterns.PATTERN_NAMES + ("Ch", "Cx", "DyG"))
     def test_forbidden_sets_match_the_twin_plans(self, name, monkeypatch):
-        f = pattern_by_name(name)
+        f = parse_pattern(name)
         parents = [g for n in range(1, 7) for g in search.enumerate_free(n, f)]
         orbit_sets = [set(patterns.forbidden_sets(g, f.graph)) for g in parents]
         monkeypatch.setattr(patterns, "_plans", reference_plans)

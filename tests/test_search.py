@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import os
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -90,7 +92,9 @@ class TestEnumeration:
         # orbit of masks are rejected because the new vertex is not in the
         # orbit of the deletion vertex.  The earlier rule (reference_children
         # in tests/conftest.py) made 1791; an orbit lost from the stored
-        # automorphisms would show here
+        # automorphisms would show here.  Level 7 is dealt over processes
+        # where there are two CPUs, and a forked worker's calls never reach
+        # this counter, so the count is taken on one process
         search.clear_caches()
         calls = []
         real = graphs._canonical
@@ -100,6 +104,7 @@ class TestEnumeration:
             return real(n, adj)
 
         monkeypatch.setattr(graphs, "_canonical", counting)
+        monkeypatch.setattr(search, "_workers", lambda candidates: 1)
         enumerate_free(7)
         assert len(calls) == 1306
         search.clear_caches()
@@ -303,9 +308,9 @@ class TestOrbitAugmentation:
             per_parent[-1][0].append(out[0])
             return out
 
-        def children(parent, f, autos):
+        def children(parent, f, autos, least=0):
             per_parent.append(([], []))
-            accepted, examined = real_children(parent, f, autos)
+            accepted, examined = real_children(parent, f, autos, least)
             per_parent[-1][1].extend(
                 rows if a is not None else real_canonical(parent.n + 1, rows)[0]
                 for rows, a in accepted
@@ -327,6 +332,8 @@ class TestOrbitAugmentation:
                     with monkeypatch.context() as m:
                         m.setattr(graphs, "_canonical", canonical)
                         m.setattr(search, "_children", children)
+                        # a forked worker's calls never reach these wrappers
+                        m.setattr(search, "_workers", lambda candidates: 1)
                         rebuilt = search._level(f, n)
                     del search._LEVELS[(pk, n)]
                     assert [g.adj for g in rebuilt] == [g.adj for g in reps]
@@ -335,6 +342,125 @@ class TestOrbitAugmentation:
                             assert all(labelled.count(rows) == 1 for rows in accepted)
                 search._LEVELS[(pk, n - 1)] = (parents, parent_autos)
                 search._LEVELS[(pk, n)] = (reps, autos)
+
+
+class TestDealing:
+    """A level's parents are dealt over forked processes (search._deal);
+    what comes back must not depend on how many."""
+
+    def test_stored_levels_do_not_depend_on_the_worker_count(self, monkeypatch):
+        for name in (None, "K4", "C5"):
+            f = None if name is None else pattern_by_name(name)
+            built = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(search, "_workers", lambda c, w=workers: w)
+                search.clear_caches()
+                enumerate_free(8, f)
+                pk = search._pattern_key(f)
+                # (representatives, automorphisms) of each level
+                built.append([search._LEVELS[(pk, k)] for k in range(1, 9)])
+            assert built[1] == built[0] and built[2] == built[0], name
+        search.clear_caches()
+
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # K2_3 and K1_3 (chi = 2) have no incumbent, so their top level
+        # is not bounded; maximal mode costs most at n = 8, so it runs at 7
+        for name, n, modes in (
+            ("K4", 8, (ALL_GRAPHS,)),
+            ("C5", 8, (ALL_GRAPHS,)),
+            ("K4", 7, (MAXIMAL_ONLY,)),
+            ("K2_3", 7, (ALL_GRAPHS, MAXIMAL_ONLY)),
+            ("K1_3", 7, (ALL_GRAPHS, MAXIMAL_ONLY)),
+        ):
+            f = pattern_by_name(name)
+            got = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(search, "_workers", lambda c, w=workers: w)
+                for mode in modes:
+                    search.clear_caches()
+                    config = SearchConfig(mode=mode)
+                    records = list(extremal_records(f, range(1, n + 1), MEASURES, config))
+                    # the unstored top level n, in parent order
+                    top = [g.adj for g in search._classes(f, n)]
+                    got.append((workers, mode, records, top))
+            for workers, mode, records, top in got[len(modes):]:
+                _, _, expected, expected_top = got[modes.index(mode)]
+                assert records == expected, (name, workers, mode)
+                assert top == expected_top, (name, workers, mode)
+        search.clear_caches()
+
+    def test_deal_keeps_item_order(self):
+        items = list(range(11))
+        for workers in (1, 2, 3, 12):
+            got = search._deal(lambda x: x * x, items, workers)
+            assert got == [x * x for x in items], workers
+
+    def test_share_is_worked_in_a_child(self):
+        pids = search._deal(lambda x: os.getpid(), [0, 1, 2, 3], 2)
+        assert pids[0] == pids[2] == os.getpid()
+        assert pids[1] == pids[3] != os.getpid()
+
+    def test_failing_worker_raises_here(self, monkeypatch):
+        here = os.getpid()
+        real = search._children
+
+        def children(parent, f, autos, least=0):
+            if os.getpid() != here:
+                raise ValueError("boom in a worker")
+            return real(parent, f, autos, least)
+
+        monkeypatch.setattr(search, "_children", children)
+        monkeypatch.setattr(search, "_workers", lambda candidates: 2)
+        search.clear_caches()
+        with pytest.raises(RuntimeError, match="boom in a worker"):
+            enumerate_free(5)
+        # level 2 has one parent, which this process extends; level 3 is
+        # the first whose worker has a parent, and it is not stored
+        assert sorted(n for _, n in search._LEVELS) == [1, 2]
+        search.clear_caches()
+
+    def test_worker_that_dies_raises_here(self):
+        here = os.getpid()
+
+        def work(x):
+            if os.getpid() != here:
+                os._exit(3)
+            return x
+
+        with pytest.raises(RuntimeError, match="died without a result"):
+            search._deal(work, [0, 1], 2)
+
+    def test_worker_count(self, monkeypatch):
+        cost = search.PARALLEL_COST
+        cpus = len(os.sched_getaffinity(0))
+        assert search._workers(0) == 1
+        assert search._workers(2 * cost - 1) == 1
+        assert search._workers(2 * cost) == min(2, cpus)
+        assert search._workers(1000 * cost) == cpus
+        # all graphs on 7 vertices deal level 7 (156 parents, 9984
+        # candidates) where two CPUs are allowed; the K4 table's bounded
+        # top level 7 (67 parents, 4288 candidates) and every level up to
+        # 6 (at most 34 parents, 1088 candidates) are built in one process
+        assert search._workers(156 << 6) == min(2, cpus)
+        assert search._workers(67 << 6) == 1
+        assert search._workers(34 << 5) == 1
+        monkeypatch.delattr(os, "fork")
+        assert search._workers(1000 * cost) == 1
+
+    def test_interrupt_here_kills_the_workers(self):
+        # the workers would sleep for a minute; the fixture checks that
+        # none is left
+        here = os.getpid()
+
+        def work(x):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            search._deal(work, [0, 1, 2], 3)
+        assert time.monotonic() - start < 30
 
 
 class TestTwinClasses:
