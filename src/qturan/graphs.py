@@ -112,14 +112,7 @@ class Graph:
             raise GraphError("cannot delete the last vertex")
         if not 0 <= u < self.n:
             raise GraphError(f"vertex {u} out of range")
-        low = (1 << u) - 1
-        rows = []
-        for i in range(self.n):
-            if i == u:
-                continue
-            row = self.adj[i]
-            rows.append((row & low) | ((row >> (u + 1)) << u))
-        return _unchecked(self.n - 1, tuple(rows))
+        return self.induced_subgraph(((1 << self.n) - 1) ^ (1 << u))
 
     def relabel(self, perm) -> "Graph":
         """Return the graph with old vertex ``perm[i]`` at new position i."""
@@ -155,23 +148,11 @@ class Graph:
         return len(self.components()) == 1
 
     def induced_subgraph(self, mask: int) -> "Graph":
-        verts = []
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            verts.append(v)
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = []
-        for v in verts:
-            row = 0
-            mm = self.adj[v] & mask
-            while mm:
-                w = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                row |= 1 << pos[w]
-            rows.append(row)
-        return Graph(len(verts), tuple(rows))
+        """The subgraph on the vertices of ``mask``, in ascending order."""
+        if not 0 < mask < 1 << self.n:
+            raise GraphError(f"mask {mask:#x} empty or beyond vertex {self.n - 1}")
+        verts = [v for v in range(self.n) if (mask >> v) & 1]
+        return _unchecked(len(verts), _encode(self.n, self.adj, verts))
 
     def adjacency_matrix(self) -> np.ndarray:
         return adjacency_matrices([self], self.n)[0]
@@ -217,28 +198,18 @@ def empty(n: int) -> Graph:
 def complete(r: int) -> Graph:
     if r < 1:
         raise GraphError("complete graph needs r >= 1")
-    full = (1 << r) - 1
-    return Graph(r, tuple(full ^ (1 << i) for i in range(r)))
+    return complete_multipartite([1] * r)
 
 
 def complete_multipartite(sizes) -> Graph:
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise GraphError("part sizes must be positive")
-    n = sum(sizes)
-    parts = []
-    start = 0
+    full = (1 << sum(sizes)) - 1
+    rows = []
     for s in sizes:
-        parts.append(((1 << s) - 1) << start)
-        start += s
-    full = (1 << n) - 1
-    out = [0] * n
-    start = 0
-    for s, p in zip(sizes, parts):
-        for i in range(s):
-            out[start + i] = full & ~p
-        start += s
-    return Graph(n, tuple(out))
+        rows += [full ^ (((1 << s) - 1) << len(rows))] * s
+    return Graph(len(rows), tuple(rows))
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
@@ -310,23 +281,45 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+def _reverse_bits(bits: int, count: int) -> int:
+    """The lowest ``count`` bits of ``bits`` in reverse order: reversing the
+    bit order of every byte and then the byte order reverses them all."""
+    width = (count + 7) // 8
+    flipped = bits.to_bytes(width, "little").translate(_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * width - count)
+
+
 def order_key(g: Graph) -> int:
     """The upper-triangle bits in graph6 order, (0,1), (0,2), (1,2), (0,3)
     ..., the first the most significant, as one int.
 
     Column j's bits land at positions j(j-1)/2 + i, first bit lowest, and
-    reversing the bit order of every byte and then the byte order puts the
-    first bit on top.  For a fixed n, keys order graphs as their graph6
-    strings do: graph6 is a header followed by these bits, padded alike.
+    reversing them puts the first bit on top.  For a fixed n, keys order
+    graphs as their graph6 strings do: graph6 is a header followed by these
+    bits, padded alike.  ``_from_order_key`` is the inverse.
     """
     bits = 0
     shift = 0
     for j in range(1, g.n):
         bits |= (g.adj[j] & ((1 << j) - 1)) << shift
         shift += j
-    width = (shift + 7) // 8
-    flipped = bits.to_bytes(width, "little").translate(_REVERSED)
-    return int.from_bytes(flipped, "big") >> (8 * width - shift)
+    return _reverse_bits(bits, shift)
+
+
+def _from_order_key(n: int, key: int) -> tuple:
+    """The rows of the graph on n vertices whose ``order_key`` is ``key``."""
+    bits = _reverse_bits(key, n * (n - 1) // 2)
+    rows = [0] * n
+    for j in range(1, n):
+        # column j: the neighbours of j below it
+        m = bits & ((1 << j) - 1)
+        bits >>= j
+        rows[j] = m
+        while m:
+            low = m & -m
+            m ^= low
+            rows[low.bit_length() - 1] |= 1 << j
+    return tuple(rows)
 
 
 def to_graph6(g: Graph) -> str:
@@ -375,23 +368,11 @@ def from_graph6(s: str) -> Graph:
             f"body length {len(body)} != expected {need} for n={n}",
             body_off + min(len(body), need),
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        for sh in range(5, -1, -1):
-            bits.append((val >> sh) & 1)
-    for off, b in enumerate(bits[nbits:]):
-        if b:
-            raise Graph6Error("nonzero padding bits", body_off + (nbits + off) // 6)
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    pad = 6 * need - nbits
+    body_bits = int("".join(f"{ord(ch) - 63:06b}" for ch in body) or "0", 2)
+    if body_bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", body_off + need - 1)
+    return Graph(n, _from_order_key(n, body_bits >> pad))
 
 
 # -- canonical form ------------------------------------------------------
@@ -526,7 +507,8 @@ def _refine(adj, cells, splitters):
 
 
 def _encode(n, adj, perm):
-    """Rows of the graph with old vertex ``perm[i]`` at position i."""
+    """Rows of the graph with old vertex ``perm[i]`` at position i; the
+    vertices ``perm`` leaves out are dropped, so it may list a subset."""
     # the bit of each old vertex's new position
     posbit = [0] * n
     for i, v in enumerate(perm):

@@ -86,8 +86,8 @@ r = min(chi(F) - 1, n): it is r-colourable, so F-free, and no extremal
 value lies below its value.  Each measure has an upper bound in n and the
 edge count m alone (``_EDGE_BOUNDS``): m itself, Stanley's
 lambda <= (sqrt(1 + 8m) - 1)/2 and Feng and Yu's q <= 2m/(n - 1) + n - 2.
-``_least_edges`` turns them into one integer per request, the fewest
-edges with which some requested measure can reach T's value less
+``_least_edges`` turns each into one integer, the fewest edges with
+which that measure can reach T's value less
 VALUE_TOL + 2e-9, a margin 1e-9 wider than ``_best``'s window that
 absorbs the last bits in which T's rows and canonical rows differ.  A
 parent whose children cannot have that many edges, even with the new
@@ -386,8 +386,6 @@ def _deal(work, items: list, workers: int) -> list:
     the stored levels in place instead of receiving them pickled; so
     ``work`` must not call numpy, whose BLAS threads exist only in the
     parent, nor take a lock another thread of the parent may hold."""
-    if workers <= 1:
-        return [work(item) for item in items]
     pids, pipes = [], []
     try:
         for j in range(1, workers):
@@ -467,14 +465,16 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
         reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
         autos = ((),) * len(reps)
     else:
+        # the dict merges a class that one parent reaches through several
+        # masks, as it does when the stored automorphisms are incomplete
         flat = itertools.chain.from_iterable(_grow(f, n, label=True))
         found = dict(zip(flat, flat))
         # each class has exactly one parent, so sorting makes the order
-        # independent of the deletion rule and of the worker count
-        reps = tuple(
-            sorted((graphs._unchecked(n, r) for r in found), key=graphs.order_key)
-        )
-        autos = tuple(found[g.adj] for g in reps)
+        # independent of the deletion rule and of the worker count; the
+        # graphs are made after the sort, so they never coexist with its keys
+        order = sorted(found, key=lambda r: graphs.order_key(graphs._unchecked(n, r)))
+        reps = tuple(graphs._unchecked(n, r) for r in order)
+        autos = tuple(found[r] for r in order)
     _LEVELS[key] = (reps, autos)
     return reps
 
@@ -653,25 +653,22 @@ def _best(gs, least: dict) -> dict:
     return out
 
 
-def _least_edges(f: ForbiddenPattern, n: int, measures) -> int:
-    """The fewest edges m for which, for one of ``measures``, the bound
-    ``_EDGE_BOUNDS[measure](n, m)`` reaches the incumbent's value less
-    VALUE_TOL + 2e-9.  The incumbent is T_r(n) with r = min(chi(F) - 1, n):
-    it is r-colourable, so F-free, and no maximum lies below its value.  So
-    a graph with fewer edges lies below ``_best``'s window for every
-    measure, by 1e-9 more than that window, which absorbs the last bits in
-    which T's rows and canonical rows differ, and T_r(n) keeps enough
-    edges.  0, pruning nothing, when r < 2 (chi(F) <= 2)."""
+def _least_edges(f: ForbiddenPattern, n: int, measure: str) -> int:
+    """The fewest edges m for which the bound ``_EDGE_BOUNDS[measure](n, m)``
+    reaches the incumbent's value less VALUE_TOL + 2e-9.  The incumbent is
+    T_r(n) with r = min(chi(F) - 1, n): it is r-colourable, so F-free, and
+    no maximum lies below its value.  So a graph with fewer edges lies
+    below ``_best``'s window, by 1e-9 more than that window, which absorbs
+    the last bits in which T's rows and canonical rows differ, and T_r(n)
+    keeps enough edges.  0, pruning nothing, when r < 2 (chi(F) <= 2)."""
     r = min(f.chi - 1, n)
     if r < 2:
         return 0
     t = graphs.turan(r, n)
+    floor = _values([t], measure)[0] - VALUE_TOL - 2e-9
+    bound = _EDGE_BOUNDS[measure]
     least = t.edge_count()
-    for measure in measures:
-        floor = _values([t], measure)[0] - VALUE_TOL - 2e-9
-        bound = _EDGE_BOUNDS[measure]
-        least = next((m for m in range(least) if bound(n, m) >= floor), least)
-    return least
+    return next((m for m in range(least) if bound(n, m) >= floor), least)
 
 
 def extremal_records(
@@ -725,7 +722,7 @@ def extremal_records(
         if todo:
             examined = _build_below(f, n, config.budget)
             if n == top:
-                least = {m: _least_edges(f, n, (m,)) for m in todo}
+                least = {m: _least_edges(f, n, m) for m in todo}
                 gs = _classes(f, n, min(least.values()))
             else:
                 least = dict.fromkeys(todo, 0)

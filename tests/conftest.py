@@ -392,6 +392,15 @@ def reference_check_bound_chain(g):
     return verify._report("bound_chain", subject, lower_v, upper_v, upper_v - lower_v)
 
 
+def subgraph_naive(g, verts):
+    """The graph with old vertex ``verts[i]`` at position i, the edges
+    between the vertices of ``verts`` kept and every other edge dropped
+    (oracle for relabel, induced_subgraph and delete_vertex)."""
+    pos = {v: i for i, v in enumerate(verts)}
+    kept = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    return graphs.from_edges(len(verts), kept)
+
+
 def reference_adjacency_matrix(g):
     """The adjacency matrix built edge by edge, as before it was unpacked
     from the bit rows."""

@@ -15,6 +15,7 @@ from tests.conftest import (
     reference_adjacency_matrix,
     reference_canonical,
     reference_to_graph6,
+    subgraph_naive,
 )
 
 
@@ -83,6 +84,38 @@ class TestMutation:
         with pytest.raises(graphs.GraphError):
             graphs.empty(1).delete_vertex(0)
 
+    def test_vertex_maps_match_the_edge_filter(self):
+        # every vertex subset of every class with n <= 6, and random graphs
+        # on 70 vertices, whose rows span two 64-bit words
+        rng = np.random.default_rng(25)
+        gs = [g for n in range(1, 7) for g in search.enumerate_free(n)]
+        gs += [graphs.random_graph(70, p, rng) for p in (0.1, 0.5, 0.9)]
+        for g in gs:
+            if g.n <= 6:
+                masks = range(1, 1 << g.n)
+            else:
+                masks = [(1 << g.n) - 1, 1, 1 << (g.n - 1)]
+                masks += [int(rng.integers(1, 1 << 62)) << 8 | 1 for _ in range(20)]
+            for mask in masks:
+                verts = [v for v in range(g.n) if (mask >> v) & 1]
+                h = g.induced_subgraph(mask)
+                assert (h.n, h.adj) == (len(verts), subgraph_naive(g, verts).adj)
+            for u in range(g.n if g.n > 1 else 0):
+                rest = [v for v in range(g.n) if v != u]
+                assert g.delete_vertex(u).adj == subgraph_naive(g, rest).adj
+            for _ in range(3):
+                perm = [int(v) for v in rng.permutation(g.n)]
+                assert g.relabel(perm).adj == subgraph_naive(g, perm).adj
+
+    def test_induced_subgraph_rejects_empty_and_stray_masks(self):
+        g = graphs.cycle(5)
+        for mask in (0, 1 << 5, 0b100001, -1):
+            with pytest.raises(graphs.GraphError):
+                g.induced_subgraph(mask)
+        for u in (-1, 5):
+            with pytest.raises(graphs.GraphError):
+                g.delete_vertex(u)
+
     def test_add_edge(self):
         assert graphs.empty(2).add_edge(0, 1).adj == graphs.complete(2).adj
         p3 = graphs.path(3)
@@ -134,6 +167,7 @@ class TestGraph6:
     def test_roundtrip_random(self):
         for g in random_graphs(1000, seed=99):
             assert graphs.from_graph6(graphs.to_graph6(g)).adj == g.adj
+            assert graphs._from_order_key(g.n, graphs.order_key(g)) == g.adj
 
     def test_roundtrip_long_form(self):
         for n in (63, 64, 65, 200):
@@ -141,13 +175,19 @@ class TestGraph6:
             s = graphs.to_graph6(g)
             assert s.startswith("~")
             assert graphs.from_graph6(s).adj == g.adj
+            assert graphs._from_order_key(n, graphs.order_key(g)) == g.adj
 
     def test_rejects_nonzero_padding(self):
-        # C5 on 5 vertices uses 10 of 12 body bits; flip a padding bit
-        s = graphs.to_graph6(graphs.cycle(5))
-        bad = s[:-1] + chr(63 + ((ord(s[-1]) - 63) | 1))
-        with pytest.raises(graphs.Graph6Error):
-            graphs.from_graph6(bad)
+        # C5 uses 10 of 12 body bits; flip each padding bit of a few cycles.
+        # The padding lies in the last body byte, which the offset names
+        for n in (3, 5, 6, 7, 70):
+            s = graphs.to_graph6(graphs.cycle(n))
+            pad = -(n * (n - 1) // 2) % 6
+            for bit in range(pad):
+                bad = s[:-1] + chr(63 + ((ord(s[-1]) - 63) | 1 << bit))
+                with pytest.raises(graphs.Graph6Error, match="padding") as exc:
+                    graphs.from_graph6(bad)
+                assert exc.value.offset == len(s) - 1
 
     def test_rejects_malformed(self):
         with pytest.raises(graphs.Graph6Error) as exc:
@@ -199,6 +239,7 @@ class TestGraph6:
             n, [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1]
         )
         assert graphs.from_graph6(graphs.to_graph6(g)).adj == g.adj
+        assert graphs._from_order_key(n, graphs.order_key(g)) == g.adj
 
 
 class TestCanonical:

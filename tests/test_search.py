@@ -786,7 +786,7 @@ class TestTopLevel:
         for name, n in self.CASES:
             f = pattern_by_name(name)
             for measure in MEASURES:
-                least = search._least_edges(f, n, (measure,))
+                least = search._least_edges(f, n, measure)
                 _, witnesses = _labelled_record(f, n, measure, SearchConfig())
                 edges = [graphs.from_graph6(w).edge_count() for w in witnesses]
                 assert least <= min(edges), (name, n, measure)
