@@ -46,7 +46,8 @@ embedding of F - p into P, for each anchor vertex p of F, and a mask is
 dropped iff it contains one of the inclusion-minimal forbidden sets.  This
 is exact only because every parent is F-free, so every copy of F in a
 child passes through the new vertex.  This filter runs after the twin
-filter and before the degree filter.
+filter and the size floor below, once per orbit of Aut(P), and before the
+key filter.
 
 Each level is built parent by parent and sorted into canonical graph6
 order by ``graphs.order_key``, so its order does not depend on the
@@ -92,16 +93,17 @@ VALUE_TOL + 2e-9, a margin 1e-9 wider than ``_best``'s window that
 absorbs the last bits in which T's rows and canonical rows differ.  A
 parent whose children cannot have that many edges, even with the new
 vertex joined to all of it, is skipped before its forbidden sets are
-built, and ``_masks`` drops the masks too small to reach it first.  A
-dropped child lies strictly below the window, so the records do not
-change; the budget and ``graphs_examined`` still count every mask.  The
-top level keeps the children that reach the smallest of the requested
-measures' thresholds, and each measure is evaluated only on those that
+built.  ``_masks`` drops the masks too small to reach it first, in the
+one size floor max(dmax, least - e(P)) that it shares with the degree
+filter.  A dropped child lies strictly below the window, so the records
+do not change; the budget and ``graphs_examined`` still count every mask.
+The top level keeps the children that reach the smallest of the
+requested measures' thresholds, and each measure, at the top level and at
+every stored level of a range, is evaluated only on the classes that
 reach its own.  With chi(F) <= 2 there is no incumbent and nothing is
-dropped, and stored levels are never bounded.  ``equivalence_check``
-reads the whole top level: in maximal mode the incumbent is reached only
-through an edge-maximal supergraph of T, so the bound relies on the
-edge-monotonicity that check tests.
+dropped.  ``equivalence_check`` reads the whole top level: in maximal
+mode the incumbent is reached only through an edge-maximal supergraph of
+T, so the bound relies on the edge-monotonicity that check tests.
 """
 
 from __future__ import annotations
@@ -238,8 +240,7 @@ def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos, least: int) -> l
     """The mask stage of ``_children``: (mask, ties) for one mask per orbit
     of Aut(P) among those that pass every filter, where ties is the set of
     parent vertices whose deletion key equals the new vertex's, 0 when the
-    new vertex is the unique maximum.  Masks that give the child fewer than
-    ``least`` edges are dropped first (see ``_least_edges``).
+    new vertex is the unique maximum.
 
     ``parent`` must be canonically labelled, and ``autos`` are
     automorphisms of its rows.  Those its labelling returned generate
@@ -247,37 +248,38 @@ def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos, least: int) -> l
     keeps more masks but accepts the same children.  The deletion vertex
     maximises (degree, sum of neighbour degrees), ties going to the
     largest canonical position.  One mask per twin-class choice is
-    considered; masks that contain a forbidden set, then masks whose new
-    vertex some parent vertex beats on that key, are dropped before any
-    child is built.  Every filter is invariant under Aut(P), so an orbit
-    passes or fails whole, and the orbit of each mask kept, from
-    ``graphs.orbit``, is skipped after it.
+    considered, and one size floor drops first the masks whose new vertex
+    is not of maximum degree or whose child has fewer than ``least`` edges
+    (see ``_least_edges``).  Then, one mask per orbit, masks that contain a
+    forbidden set, and masks whose new vertex some parent vertex beats on
+    that key, are dropped before any child is built.  Every filter is
+    invariant under Aut(P), so an orbit passes or fails whole, and the
+    orbit of each mask kept, from ``graphs.orbit``, is skipped after it.
     """
     n = parent.n
     adj = parent.adj
     twins = graphs.twin_prefixes(adj)
-    masks = _twin_masks(n, twins)
-    if least:
-        need = least - parent.edge_count()
-        masks = [m for m in masks if m.bit_count() >= need]
-    if f is not None:
-        forbidden = forbidden_sets(parent, f.graph)
-        masks = [m for m in masks if all(s & ~m for s in forbidden)]
     degrees = [row.bit_count() for row in adj]
     dmax = max(degrees)
     # no parent vertex has degree n, so of_degree[-1] is 0
     of_degree = [0] * (n + 1)
     for v, d in enumerate(degrees):
         of_degree[d] |= 1 << v
-    # the new vertex has degree |M|; the parent's maximum rises iff M meets top
-    top = of_degree[dmax]
-    masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
+    # |M| must reach the child's maximum degree, dmax + [M meets degree dmax],
+    # and least - e(P); a floor above dmax covers that rise
+    floor = max(dmax, least - sum(degrees) // 2)
+    rise = of_degree[dmax] if floor == dmax else 0
+    masks = _twin_masks(n, twins)
+    masks = [m for m in masks if m.bit_count() >= floor + (1 if m & rise else 0)]
+    forbidden = () if f is None else forbidden_sets(parent, f.graph)
     nsums = [sum(degrees[j] for j in parent.neighbors(i)) for i in range(n)]
     # masks in the orbit of one already kept
     labelled = set()
     kept = []
     for mask in masks:
         if mask in labelled:
+            continue
+        if forbidden and not all(s & ~mask for s in forbidden):
             continue
         k = mask.bit_count()
         # the parent vertices of child degree k: degree k outside M, k - 1 in M
@@ -627,11 +629,10 @@ def _best(gs, least: dict) -> dict:
     ``least[measure]`` edges (see ``_least_edges``).  Each measure is
     evaluated once on each of those graphs; those within
     VALUE_TOL + 1e-9 of the largest value are labelled and evaluated again
-    on their canonical rows, in ``graphs.order_key`` order, and the value
-    is the largest of these and the witnesses the sorted graph6 of those
-    within VALUE_TOL of it.  The last bits of ``eigvalsh`` depend on the
-    vertex order, by far less than 1e-9, so the result is the one the
-    canonical representatives give."""
+    on their canonical rows, and the value is the largest of these and the
+    witnesses the sorted graph6 of those within VALUE_TOL of it.  The last
+    bits of ``eigvalsh`` depend on the vertex order, by far less than 1e-9,
+    so the result is the one the canonical representatives give."""
     canonical = {}
     out = {}
     edges = [g.edge_count() for g in gs]
@@ -644,7 +645,7 @@ def _best(gs, least: dict) -> dict:
             if i not in canonical:
                 g = gs[i]
                 canonical[i] = graphs._unchecked(g.n, graphs._canonical(g.n, g.adj)[0])
-        reps = sorted((canonical[i] for i in near), key=graphs.order_key)
+        reps = [canonical[i] for i in near]
         values = _values(reps, measure)
         best = max(values)
         out[measure] = best, sorted(
@@ -688,12 +689,13 @@ def extremal_records(
     stored, it is not stored, only its ties are labelled, and it holds only
     the classes with at least ``_least_edges`` edges, those whose edge
     count lets one of the measures to compute reach the Turán incumbent
-    T_min(chi(F)-1, n)(n); with chi(F) <= 2 it holds every class.
-    ``_best`` reads every measure of it from that one pass.  The levels
-    below are built and stored once, by ``_build_below`` and ``_level``,
-    within ``config.budget``; a ``BudgetExceededError`` is raised where
-    ``enumerate_free`` raises it, after the records of smaller n are
-    yielded."""
+    T_min(chi(F)-1, n)(n); with chi(F) <= 2 it holds every class.  The
+    levels below are built and stored once, by ``_build_below`` and
+    ``_level``, within ``config.budget``; a ``BudgetExceededError`` is
+    raised where ``enumerate_free`` raises it, after the records of smaller
+    n are yielded.  ``_best`` reads every measure of a level, top or
+    stored, from one pass, and evaluates each only on the classes with its
+    own ``_least_edges`` edges."""
     config = config or SearchConfig()
     for measure in measures:
         if measure not in MEASURES:
@@ -721,12 +723,8 @@ def extremal_records(
         todo = [m for m in measures if (n, m) not in records]
         if todo:
             examined = _build_below(f, n, config.budget)
-            if n == top:
-                least = {m: _least_edges(f, n, m) for m in todo}
-                gs = _classes(f, n, min(least.values()))
-            else:
-                least = dict.fromkeys(todo, 0)
-                gs = _level(f, n)
+            least = {m: _least_edges(f, n, m) for m in todo}
+            gs = _classes(f, n, min(least.values())) if n == top else _level(f, n)
             if config.mode == MAXIMAL_ONLY:
                 gs = [g for g in gs if _is_edge_maximal(g, f)]
             if not gs:

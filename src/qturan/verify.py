@@ -105,7 +105,7 @@ def check_bound_chain(g: Graph) -> CheckReport:
     e = g.edge_count()
     lam = spectra.dense_lambda_value(g)
     q = spectra.dense_q_value(g)
-    feng_yu = 2 * e / (g.n - 1) + g.n - 2
+    feng_yu = search._EDGE_BOUNDS["q"](g.n, e)
     degs = [g.degree(v) for v in range(g.n)]
     edge_deg = max((degs[u] + degs[v] for u, v in g.edges()), default=0)
     upper = min(feng_yu, edge_deg)

@@ -185,6 +185,8 @@ def reference_to_graph6(g):
 # class already labelled from the same parent is skipped, and on a tie the
 # child minus its deletion vertex is compared with the parent, after a
 # sorted-degree pre-check.  search._children must accept the same classes.
+# reference_masks is the filter chain of search._masks as one list pass per
+# filter, with no orbit skipped.
 
 
 def _reference_twin_masks(parent):
@@ -203,12 +205,17 @@ def _reference_twin_masks(parent):
     return masks
 
 
-def reference_children(parent, f):
-    """(set of the accepted children's canonical rows, masks examined)."""
+def reference_masks(parent, f, least=0):
+    """(mask, ties) for every twin-normal mask of ``parent`` that passes
+    each filter of search._masks, one list pass per filter: the child's
+    edge floor ``least``, the forbidden sets, the degree test and the key.
+    No orbit is skipped."""
     n = parent.n
     adj = parent.adj
-    examined = 1 << n
     masks = _reference_twin_masks(parent)
+    if least:
+        need = least - parent.edge_count()
+        masks = [m for m in masks if m.bit_count() >= need]
     if f is not None:
         forbidden = forbidden_sets(parent, f.graph)
         masks = [m for m in masks if all(s & ~m for s in forbidden)]
@@ -220,9 +227,7 @@ def reference_children(parent, f):
     top = of_degree[dmax]
     masks = [m for m in masks if m.bit_count() >= dmax + (1 if m & top else 0)]
     nsums = [sum(degrees[j] for j in parent.neighbors(i)) for i in range(n)]
-    parent_degrees = sorted(degrees)
-    accepted = set()
-    seen = set()
+    kept = []
     for mask in masks:
         k = mask.bit_count()
         rivals = (of_degree[k] & ~mask) | (of_degree[k - 1] & mask)
@@ -237,6 +242,18 @@ def reference_children(parent, f):
             if max(sums.values()) > key:
                 continue
             ties = sum(1 << i for i, s in sums.items() if s == key)
+        kept.append((mask, ties))
+    return kept
+
+
+def reference_children(parent, f):
+    """(set of the accepted children's canonical rows, masks examined)."""
+    n = parent.n
+    adj = parent.adj
+    parent_degrees = sorted(row.bit_count() for row in adj)
+    accepted = set()
+    seen = set()
+    for mask, ties in reference_masks(parent, f):
         child = search._extend(parent, mask)
         rows, perm = graphs._canonical(child.n, child.adj)[:2]
         if rows in seen:
@@ -252,7 +269,7 @@ def reference_children(parent, f):
                 if graphs._canonical(n, rest.adj)[0] != adj:
                     continue
         accepted.add(rows)
-    return accepted, examined
+    return accepted, 1 << n
 
 
 # -- reference embedding plans ----------------------------------------------

@@ -30,6 +30,7 @@ from tests.conftest import (
     contains_subgraph_naive,
     isomorphic_naive,
     reference_children,
+    reference_masks,
     reference_to_graph6,
 )
 
@@ -276,6 +277,21 @@ class TestOrbitAugmentation:
                 reps = enumerate_free(n, f)
                 assert [g.adj for g in reps] == [g.adj for g in level], (f, n)
                 assert search._cost(f, n) == examined, (f, n)
+
+    def test_masks_match_reference_masks(self):
+        # with no automorphisms no orbit is skipped, so the one size floor
+        # and the forbidden-set test once per mask must keep the masks, in
+        # order, that the oracle's separate passes keep
+        for f in (None, *map(pattern_by_name, PATTERN_NAMES)):
+            for n in range(1, 7):
+                leasts = {0}
+                if f is not None:
+                    leasts |= {search._least_edges(f, n + 1, m) for m in MEASURES}
+                for parent in enumerate_free(n, f):
+                    for least in sorted(leasts):
+                        assert search._masks(parent, f, (), least) == reference_masks(
+                            parent, f, least
+                        ), (f, graphs.to_graph6(parent), least)
 
     def test_each_class_is_accepted_from_one_parent(self):
         # on a tie, a child is accepted iff its new vertex lies in the orbit
@@ -748,12 +764,14 @@ class TestTopLevel:
     ]
 
     def test_records_match_the_labelled_level(self):
+        labelled = {}
         for name, n in self.CASES:
             f = pattern_by_name(name)
             key = (search._pattern_key(f), n)
             for mode in (ALL_GRAPHS, MAXIMAL_ONLY):
                 config = SearchConfig(mode=mode)
                 expected = [_labelled_record(f, n, m, config) for m in MEASURES]
+                labelled[name, n, mode] = expected
                 stored = search._LEVELS.pop(key)
                 try:
                     (records,) = extremal_records(f, [n], MEASURES, config)
@@ -763,6 +781,16 @@ class TestTopLevel:
                     search._LEVELS[key] = stored
                 got = [(repr(r.value), r.witnesses) for r in records]
                 assert got == expected, (name, n, mode)
+        # a range reads every record off a stored level, each measure
+        # bounded by its own incumbent as at the top level
+        for name in PATTERN_NAMES:
+            f = pattern_by_name(name)
+            ns = [n for case, n in self.CASES if case == name]
+            for mode in (ALL_GRAPHS, MAXIMAL_ONLY):
+                rows = extremal_records(f, ns, MEASURES, SearchConfig(mode=mode))
+                for n, records in zip(ns, rows):
+                    got = [(repr(r.value), r.witnesses) for r in records]
+                    assert got == labelled[name, n, mode], (name, n, mode)
 
     def test_incumbent_bounds_hold(self):
         # the top level drops the classes with fewer than _least_edges
