@@ -186,6 +186,8 @@ def from_edges(n: int, edges) -> Graph:
     for u, v in edges:
         if u == v:
             raise GraphError("loop in edge list")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
@@ -265,13 +267,8 @@ def petersen() -> Graph:
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return from_edges(n, edges)
 
 
 # -- graph6 codec --------------------------------------------------------

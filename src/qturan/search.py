@@ -124,6 +124,9 @@ from typing import Optional, get_type_hints
 from . import graphs, spectra
 from .graphs import Graph
 from .patterns import ForbiddenPattern, contains_subgraph, forbidden_sets
+# VALUE_TOL, the float equality of spectra's component tie, is also the
+# witness window of extremal and equivalence_check
+from .spectra import VALUE_TOL
 
 MEASURES = ("edges", "lambda", "q")
 ALL_GRAPHS = "all"
@@ -131,10 +134,6 @@ MAXIMAL_ONLY = "maximal"
 
 # maximal mode enumerates every class before it filters, so one cap serves both
 HARD_CAP = 12
-
-# two values within VALUE_TOL are equal: the witness window of extremal,
-# equivalence_check and verify's star check all decide by it
-VALUE_TOL = 1e-9
 
 # upper bounds on each measure of a graph with n >= 2 vertices and m edges:
 # m itself, Stanley's for lambda (Linear Algebra Appl. 87 (1987)) and Feng

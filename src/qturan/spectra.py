@@ -6,12 +6,12 @@ stacked ``eigvalsh`` blocks, and ``dense_q_value`` and ``dense_lambda_value``
 solve one graph with one ``eigvalsh`` call, to the same bits.  Perron
 vectors come from ``spectral_radius``, which runs power iteration (on
 A + delta*I for the adjacency, against sign flips on bipartite spectra;
-``eigh`` is the fallback) on each component's block: the largest value
-wins, an exact tie goes to the smaller canonical form, and the vector is
-zero off the winner.  ``_kernels.power_iteration`` stops at residual
-``TOL`` and sums in a fixed order, which pins the last bits of the
-printed fields read from it: ``mu_sq_times_n`` of ``table``, the values of
-``lemma22``, the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
+``eigh`` is the fallback) once per isomorphism class of components.
+Values within ``VALUE_TOL`` tie, and a tie goes to the smaller canonical
+form whatever the solver's last bits.  ``_kernels.power_iteration`` stops
+at residual ``TOL`` and sums in a fixed order, which pins the last bits of
+the printed fields read from it: ``mu_sq_times_n`` of ``table``, the values
+of ``lemma22``, the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ _KIND_ALIASES = {
 }
 
 TOL = 1e-10
+
+# two values within VALUE_TOL are equal: the component tie of spectral_radius,
+# the witness window of search and verify's star check all decide by it
+VALUE_TOL = 1e-9
 
 # graphs per stacked eigvalsh call of top_eigenvalues, which bounds its memory
 BLOCK = 256
@@ -98,40 +102,32 @@ def _radius_of_matrix(adj: np.ndarray, kind: str):
 def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> SpectralResult:
     """Largest eigenvalue of A(G) or Q(G) with a unit nonnegative eigenvector.
 
-    Each component is solved on its own block of the matrix.  The largest
-    value wins; on an exact tie the component with the smaller canonical
-    form wins, and only then are components labelled.  The vector is zero
-    off the winning component.
+    A connected graph is solved whole.  Otherwise the components are grouped
+    by canonical form, the first of each class is solved on its own block,
+    and the classes are scanned in canonical-form order: a class takes over
+    only with a value more than ``VALUE_TOL`` above the winner's.  The
+    vector is zero off the winning component.
     """
     kind = normalize_kind(kind)
     a = g.adjacency_matrix()
     comps = g.components()
-    best = best_form = None
-    for comp in comps:
-        idx = [v for v in range(g.n) if (comp >> v) & 1]
-        block = a if len(comps) == 1 else a[np.ix_(idx, idx)]
-        entry = (_radius_of_matrix(block, kind), comp, idx)
-        if best is None or entry[0][0] > best[0][0]:
-            best, best_form = entry, None
-        elif entry[0][0] == best[0][0]:
-            form = graphs.canonical_form(g.induced_subgraph(comp))
-            if best_form is None:
-                best_form = graphs.canonical_form(g.induced_subgraph(best[1]))
-            if form < best_form:
-                best, best_form = entry, form
-    (value, vec, resid, iters, method), _, idx = best
-    if len(comps) > 1:
-        full = np.zeros(g.n)
-        full[idx] = vec
-        vec = full
+    if len(comps) == 1:
+        value, vec, resid, iters, method = _radius_of_matrix(a, kind)
+    else:
+        firsts = {}
+        for comp in comps:
+            firsts.setdefault(graphs.canonical_form(g.induced_subgraph(comp)), comp)
+        best = None
+        for form in sorted(firsts):
+            idx = [v for v in range(g.n) if (firsts[form] >> v) & 1]
+            solved = _radius_of_matrix(a[np.ix_(idx, idx)], kind)
+            if best is None or solved[0] > best[0][0] + VALUE_TOL:
+                best = solved, idx
+        (value, part, _, iters, method), idx = best
+        vec = np.zeros(g.n)
+        vec[idx] = part
         resid = np.linalg.norm(_with_degrees(a, kind) @ vec - value * vec)
-    return SpectralResult(
-        value=float(value),
-        vector=vec,
-        residual=float(resid),
-        iterations=iters,
-        method=method,
-    )
+    return SpectralResult(float(value), vec, float(resid), iters, method)
 
 
 def top_eigenvalues(gs, kind: str = SIGNLESS_LAPLACIAN) -> list:

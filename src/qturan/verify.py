@@ -9,8 +9,9 @@ connected ones.  The star check covers every n from t to its ``n_max``.
 
 An inequality passes when it loses at most ``CHECK_TOL`` (its slack is at
 least -CHECK_TOL), and every such report carries that value in ``tol``.
-The star theorem asks for equality, so it uses ``search.VALUE_TOL``, the
-window that also decides which graphs are extremal witnesses.  Spectral
+The star theorem asks for equality, so it uses ``spectra.VALUE_TOL``, the
+window that also decides which graphs are extremal witnesses and which
+component of a disconnected graph carries its Perron vector.  Spectral
 values come from LAPACK, and Perron vectors (lemma22, the vertex_deletion
 bound, monotone) from power iteration, which stops at ``spectra.TOL``.  A
 range with nothing to check raises ``VerifyError``.
@@ -169,7 +170,7 @@ def check_star_theorem(
     worst = math.inf
     for (rec,) in search.extremal_records(f, n_range, ("q",), config):
         n = rec.n
-        worst = min(worst, search.VALUE_TOL - abs(rec.value - expected))
+        worst = min(worst, spectra.VALUE_TOL - abs(rec.value - expected))
         copies = n // t
         parts = [graphs.complete(t)] * copies + [graphs.empty(1)] * (n - copies * t)
         union_canon = graphs.canonical_form(graphs.disjoint_union(parts))
@@ -177,7 +178,7 @@ def check_star_theorem(
             worst = -math.inf
     return CheckReport(
         "star_theorem", subject, expected, expected, worst, worst >= 0,
-        search.VALUE_TOL,
+        spectra.VALUE_TOL,
     )
 
 

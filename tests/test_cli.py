@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import shlex
 from pathlib import Path
@@ -6,9 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qturan import cli, graphs, patterns, spectra
+from qturan import cli, graphs, patterns, search, spectra
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# perfbench's workloads and their references; it imports qturan only inside
+# its functions, so it loads by path without src on it
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+# SHA-256 of the stdout of `table --pattern K4 --n-max 7`
+K4_TABLE_SHA256 = "793497207419da0e56d32c23d066feb8e9c3be0f8f7212a85a9abdee74abd231"
 
 
 def run(capsys, *argv):
@@ -132,8 +139,6 @@ class TestExtremal:
         assert (tmp_path / "K3" / "edges" / "n=4.json").exists()
 
     def test_budget_exit_code(self, capsys):
-        import qturan.search as search
-
         search.clear_caches()
         code, out, _ = run(
             capsys,
@@ -180,8 +185,6 @@ class TestExtremal:
         assert "error: budget -1 is below 0" in err
 
     def test_zero_budget_is_exhausted(self, capsys):
-        import qturan.search as search
-
         search.clear_caches()
         code, out, _ = run(
             capsys,
@@ -399,13 +402,21 @@ class TestTable:
             capsys, "table", "--pattern", "K4", "--n-max", "7", "--no-cache"
         )
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "793497207419da0e56d32c23d066feb8e9c3be0f8f7212a85a9abdee74abd231"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == K4_TABLE_SHA256
+
+    def test_perfbench_references_match(self):
+        # perfbench refuses a run whose outputs miss these references, so a
+        # change that moves them fails here first
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        levels = tuple(len(search.enumerate_free(n)) for n in range(1, 8))
+        assert levels == workloads.FREE_N7_LEVELS
+        g6 = "\n".join(sorted(graphs.to_graph6(g) for g in search.enumerate_free(7)))
+        assert hashlib.sha256(g6.encode()).hexdigest() == workloads.FREE_N7_SHA256
+        assert K4_TABLE_SHA256 == workloads.K4_TABLE_SHA256
 
     def test_partial_budget_exit(self, capsys):
-        import qturan.search as search
-
         search.clear_caches()
         code, out, err = run(
             capsys,

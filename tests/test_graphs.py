@@ -62,6 +62,9 @@ class TestFamilies:
             graphs.star(0)
         with pytest.raises(graphs.GraphError):
             graphs.Graph(graphs.MAX_VERTICES + 1, (0,) * (graphs.MAX_VERTICES + 1))
+        for edges in ([(1, 1)], [(5, 0)], [(0, 3)], [(-1, 0)], [(0, 1), (2, -3)]):
+            with pytest.raises(graphs.GraphError):
+                graphs.from_edges(3, edges)
 
 
 class TestMutation:

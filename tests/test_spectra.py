@@ -15,6 +15,18 @@ def seeded_graphs(per_n, n_values, seed=4242, p=0.5):
             yield graphs.random_graph(n, p, rng)
 
 
+def k3_wins():
+    """(G, K3's vertices) for K3 beside K1 and K2 in every order, where it
+    wins on value, and beside C4 in both orders, where it ties on q = 4 and
+    lambda = 2 and wins by its smaller canonical form ("Bw" < "C]")."""
+    k1, k2, k3 = graphs.complete(1), graphs.complete(2), graphs.complete(3)
+    cases = list(itertools.permutations([k1, k2, k3]))
+    cases += [(graphs.cycle(4), k3), (k3, graphs.cycle(4))]
+    for parts in cases:
+        start = sum(p.n for p in parts[: parts.index(k3)])
+        yield graphs.disjoint_union(list(parts)), list(range(start, start + 3))
+
+
 def eigvalsh_top(g, kind):
     """Oracle: the top of one per-graph eigvalsh call."""
     return float(np.linalg.eigvalsh(spectra.matrix_of(g, kind))[-1])
@@ -236,12 +248,12 @@ class TestProperties:
             return canonical(n, adj)
 
         monkeypatch.setattr(graphs, "_canonical", counting)
-        # q(K3) = 4 > q(K2) = 2: no tie, so no component is labelled
+        # q(K3) = 4 > q(K2) = 2: no tie, yet each component is labelled once
         r = spectra.spectral_radius(
             graphs.disjoint_union([graphs.complete(3), graphs.complete(2)]), "q"
         )
         assert r.value == pytest.approx(4.0, abs=1e-9)
-        assert not calls
+        assert sorted(calls) == [2, 3]
         # on the tie K3 wins (graph6 "Bw" < "C]" for C4) in either order
         third = 1 / math.sqrt(3)
         for parts, k3 in (
@@ -257,15 +269,7 @@ class TestProperties:
             assert r.vector == pytest.approx(expected, abs=1e-9)
 
     def test_component_result_is_the_winning_components_own(self):
-        # K3 wins every case: on values against K1 and K2, and on the exact
-        # tie with C4 by its smaller canonical form
-        k1, k2, k3 = graphs.complete(1), graphs.complete(2), graphs.complete(3)
-        cases = list(itertools.permutations([k1, k2, k3]))
-        cases += [(graphs.cycle(4), k3), (k3, graphs.cycle(4))]
-        for parts in cases:
-            g = graphs.disjoint_union(list(parts))
-            start = sum(p.n for p in parts[: parts.index(k3)])
-            idx = list(range(start, start + 3))
+        for g, idx in k3_wins():
             comp = sum(1 << v for v in idx)
             for kind in ("q", "adjacency"):
                 r = spectra.spectral_radius(g, kind)
@@ -276,3 +280,35 @@ class TestProperties:
                 )
                 assert (np.delete(r.vector, idx) == 0).all()
                 assert r.residual <= 1e-8
+
+    def test_component_tie_does_not_hang_on_the_last_bit(self, monkeypatch):
+        # eigh puts q(K3) at 3.9999999999999996, one ulp under q(C4) = 4:
+        # only the VALUE_TOL window still hands the tie to K3
+        def eigh_radius(adj, kind):
+            vals, vecs = np.linalg.eigh(spectra._with_degrees(adj, kind))
+            return float(vals[-1]), np.abs(vecs[:, -1]), 0.0, 0, "dense"
+
+        monkeypatch.setattr(spectra, "_radius_of_matrix", eigh_radius)
+        for g, idx in k3_wins():
+            for kind, value in (("q", 4.0), ("adjacency", 2.0)):
+                r = spectra.spectral_radius(g, kind)
+                assert r.value == pytest.approx(value, abs=1e-9)
+                assert (r.vector[idx] > 0).all()
+                assert (np.delete(r.vector, idx) == 0).all()
+
+    def test_one_solve_per_component_class(self, monkeypatch):
+        sizes = []
+        solve = spectra._radius_of_matrix
+
+        def counting(adj, kind):
+            sizes.append(adj.shape[0])
+            return solve(adj, kind)
+
+        monkeypatch.setattr(spectra, "_radius_of_matrix", counting)
+        k3 = graphs.complete(3)
+        g = graphs.disjoint_union([k3, graphs.complete(1), k3, graphs.complete(2), k3])
+        r = spectra.spectral_radius(g, "q")
+        assert sorted(sizes) == [1, 2, 3]
+        # the class's first component carries the vector
+        assert r.vector[:3] == pytest.approx([1 / math.sqrt(3)] * 3, abs=1e-9)
+        assert (r.vector[3:] == 0).all()
