@@ -124,8 +124,6 @@ from typing import Optional, get_type_hints
 from . import graphs, spectra
 from .graphs import Graph
 from .patterns import ForbiddenPattern, contains_subgraph, forbidden_sets
-# VALUE_TOL, the float equality of spectra's component tie, is also the
-# witness window of extremal and equivalence_check
 from .spectra import VALUE_TOL
 
 MEASURES = ("edges", "lambda", "q")

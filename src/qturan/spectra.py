@@ -6,12 +6,13 @@ stacked ``eigvalsh`` blocks, and ``dense_q_value`` and ``dense_lambda_value``
 solve one graph with one ``eigvalsh`` call, to the same bits.  Perron
 vectors come from ``spectral_radius``, which runs power iteration (on
 A + delta*I for the adjacency, against sign flips on bipartite spectra;
-``eigh`` is the fallback) once per isomorphism class of components.
-Values within ``VALUE_TOL`` tie, and a tie goes to the smaller canonical
-form whatever the solver's last bits.  ``_kernels.power_iteration`` stops
-at residual ``TOL`` and sums in a fixed order, which pins the last bits of
-the printed fields read from it: ``mu_sq_times_n`` of ``table``, the values
-of ``lemma22``, the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
+``eigh`` is the fallback) on each component's block.  Components within
+``VALUE_TOL`` of the largest value tie, the tie goes to the smallest
+canonical form whatever the solver's last bits, and the vector is zero
+off the winner.  ``_kernels.power_iteration`` stops at residual ``TOL``
+and sums in a fixed order, which pins the last bits of the printed fields
+read from it: ``mu_sq_times_n`` of ``table``, the values of ``lemma22``,
+the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ def _radius_of_matrix(adj: np.ndarray, kind: str):
 def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> SpectralResult:
     """Largest eigenvalue of A(G) or Q(G) with a unit nonnegative eigenvector.
 
-    A connected graph is solved whole.  Otherwise the components are grouped
-    by canonical form, the first of each class is solved on its own block,
-    and the classes are scanned in canonical-form order: a class takes over
-    only with a value more than ``VALUE_TOL`` above the winner's.  The
-    vector is zero off the winning component.
+    A connected graph is solved whole.  Otherwise each component is solved
+    on its own block, and the winner is the component of smallest canonical
+    form among those within ``VALUE_TOL`` of the largest value; components
+    are labelled only when two or more fall in that window.  The vector is
+    zero off the winning component.
     """
     kind = normalize_kind(kind)
     a = g.adjacency_matrix()
@@ -114,16 +115,15 @@ def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> Spectral
     if len(comps) == 1:
         value, vec, resid, iters, method = _radius_of_matrix(a, kind)
     else:
-        firsts = {}
+        solved = {}
         for comp in comps:
-            firsts.setdefault(graphs.canonical_form(g.induced_subgraph(comp)), comp)
-        best = None
-        for form in sorted(firsts):
-            idx = [v for v in range(g.n) if (firsts[form] >> v) & 1]
-            solved = _radius_of_matrix(a[np.ix_(idx, idx)], kind)
-            if best is None or solved[0] > best[0][0] + VALUE_TOL:
-                best = solved, idx
-        (value, part, _, iters, method), idx = best
+            idx = [v for v in range(g.n) if (comp >> v) & 1]
+            solved[comp] = _radius_of_matrix(a[np.ix_(idx, idx)], kind), idx
+        top = max(r[0] for r, _ in solved.values())
+        ties = [c for c in comps if solved[c][0][0] >= top - VALUE_TOL]
+        if len(ties) > 1:
+            ties.sort(key=lambda c: graphs.canonical_form(g.induced_subgraph(c)))
+        (value, part, _, iters, method), idx = solved[ties[0]]
         vec = np.zeros(g.n)
         vec[idx] = part
         resid = np.linalg.norm(_with_degrees(a, kind) @ vec - value * vec)

@@ -248,12 +248,21 @@ class TestProperties:
             return canonical(n, adj)
 
         monkeypatch.setattr(graphs, "_canonical", counting)
-        # q(K3) = 4 > q(K2) = 2: no tie, yet each component is labelled once
+        # q(K3) = 4 > q(K2) = 2: no tie, so no component is labelled
         r = spectra.spectral_radius(
             graphs.disjoint_union([graphs.complete(3), graphs.complete(2)]), "q"
         )
         assert r.value == pytest.approx(4.0, abs=1e-9)
-        assert sorted(calls) == [2, 3]
+        assert not calls
+        # nor is the 6-cube, whose labelling visits |Aut(Q6)| = 46080 leaves,
+        # beside K1: q(Q6) = 12 > q(K1) = 0
+        q6 = graphs.from_edges(
+            64, [(u, u | 1 << b) for u in range(64) for b in range(6) if u < u | 1 << b]
+        )
+        g = graphs.disjoint_union([q6, graphs.complete(1)])
+        r = spectra.spectral_radius(g, "q")
+        assert r.value == pytest.approx(12.0, abs=1e-9)
+        assert not calls
         # on the tie K3 wins (graph6 "Bw" < "C]" for C4) in either order
         third = 1 / math.sqrt(3)
         for parts, k3 in (
@@ -296,19 +305,32 @@ class TestProperties:
                 assert (r.vector[idx] > 0).all()
                 assert (np.delete(r.vector, idx) == 0).all()
 
-    def test_one_solve_per_component_class(self, monkeypatch):
-        sizes = []
+    def test_component_tie_takes_the_smallest_form_in_the_window(self, monkeypatch):
+        # K1, K2, K3 ("@" < "A_" < "Bw") at values v, v + 0.6e-9, v + 1.2e-9:
+        # K2 and K3 are within VALUE_TOL of the largest, and K2 has the
+        # smaller form, whatever the order of the components
         solve = spectra._radius_of_matrix
 
-        def counting(adj, kind):
-            sizes.append(adj.shape[0])
-            return solve(adj, kind)
+        def staggered(adj, kind):
+            _, vec, resid, iters, method = solve(adj, kind)
+            return 1.0 + 0.6e-9 * (adj.shape[0] - 1), vec, resid, iters, method
 
-        monkeypatch.setattr(spectra, "_radius_of_matrix", counting)
-        k3 = graphs.complete(3)
-        g = graphs.disjoint_union([k3, graphs.complete(1), k3, graphs.complete(2), k3])
-        r = spectra.spectral_radius(g, "q")
-        assert sorted(sizes) == [1, 2, 3]
-        # the class's first component carries the vector
-        assert r.vector[:3] == pytest.approx([1 / math.sqrt(3)] * 3, abs=1e-9)
-        assert (r.vector[3:] == 0).all()
+        calls = []
+        canonical = graphs._canonical
+
+        def counting(n, adj):
+            calls.append(n)
+            return canonical(n, adj)
+
+        monkeypatch.setattr(spectra, "_radius_of_matrix", staggered)
+        monkeypatch.setattr(graphs, "_canonical", counting)
+        parts = [graphs.complete(1), graphs.complete(2), graphs.complete(3)]
+        for order in itertools.permutations(parts):
+            calls.clear()
+            r = spectra.spectral_radius(graphs.disjoint_union(list(order)), "q")
+            start = sum(p.n for p in order[: order.index(parts[1])])
+            assert r.value == 1.0 + 0.6e-9
+            assert (r.vector[start : start + 2] > 0).all()
+            assert (np.delete(r.vector, [start, start + 1]) == 0).all()
+            # K1 lies outside the window and is not labelled
+            assert sorted(calls) == [2, 3]
