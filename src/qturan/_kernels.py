@@ -8,7 +8,7 @@ vector, and so the CLI's output.  Neither loop may become ``sum`` (Python
 3.12+ compensates its rounding), ``math.fsum`` or a numpy ``dot``: each
 sums in another order and moves those bits.  The norm of y is
 ``math.sqrt(y.dot(y))``, which is exactly what ``np.linalg.norm`` computes
-for a 1-D float array.  The embedding search lives in ``patterns``.
+for a 1-D float array.
 """
 
 from __future__ import annotations

@@ -73,6 +73,10 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not 0 <= u < self.n:
+            raise GraphError(f"vertex {u} out of range")
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range")
         return bool((self.adj[u] >> v) & 1)
 
     def edges(self):
@@ -87,6 +91,8 @@ class Graph:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
 
     def neighbors(self, u: int):
+        if not 0 <= u < self.n:
+            raise GraphError(f"vertex {u} out of range")
         m = self.adj[u]
         while m:
             v = (m & -m).bit_length() - 1
@@ -96,10 +102,7 @@ class Graph:
     # -- mutation by copy ------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise GraphError("cannot add a loop")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError("vertex out of range")
+        # has_edge rejects a vertex out of range, and Graph a loop
         if self.has_edge(u, v):
             raise GraphError(f"edge {{{u},{v}}} already present")
         rows = list(self.adj)

@@ -57,8 +57,8 @@ splits a run, over W - 1 children made with ``os.fork`` and the calling
 process (``_deal``), and puts what they send back in parent order, so no
 level, order or automorphism depends on W.  W is one per
 ``PARALLEL_COST`` candidates, at most one per CPU the process may use
-(``_workers``).  Level n examines all 2^(n-1) masks of every
-class on n - 1 vertices, so its cost is known before it is built: the
+(``_workers``).  Level n examines all 2^(n-1) masks of every class on
+n - 1 vertices, so its cost, ``_cost``, is known before it is built: the
 budget is checked once per level against that cost, a level it cannot
 cover is never started, and the candidates examined never exceed it.
 All three measures are edge-monotone, so the edge-maximal mode is exact
@@ -68,19 +68,20 @@ for extremal values; ``equivalence_check`` keeps that honest.
 applies the filters above and keeps one mask per orbit with its tie set.
 A child whose new vertex is the unique maximum of the key is accepted on
 the key alone and left unlabelled, on its parent's rows plus the new
-vertex, as McKay's geng emits it; only ties are labelled.  A stored level
-(``_level``, so ``enumerate_free``) has ``_grow`` label the children it
-stores.  An extremal request stores only the levels that serve as
-parents: its top level, the largest n with a record to compute and no
-stored level, is ``_children`` over level n - 1 and is not stored.  Each
-measure is evaluated once over the top level, and the children within
-VALUE_TOL + 1e-9 of its maximum are labelled and evaluated again on
-their canonical rows, since the last bits of ``eigvalsh`` depend on the
-vertex order; the record is the one the stored level gives.
-``extremal_records`` walks a range of n and reads every measure from one
-pass over each level, so a range builds each level once, where
-ascending ``extremal`` calls build each one twice: unstored as a top
-level, then stored as a parent.
+vertex, as McKay's geng emits it; only ties are labelled.  A child is a
+tuple of rows (``_extend``) until it is kept as a ``Graph``: in a stored
+level (``_level``, so ``enumerate_free``), whose children ``_grow``
+labels, or in the top level (``_classes``).  An extremal request stores
+only the levels that serve as parents: its top level, the largest n with
+a record to compute and no stored level, is ``_children`` over level
+n - 1 and is not stored.  Each measure is evaluated once over the top
+level, and the children within VALUE_TOL + 1e-9 of its maximum are
+labelled and evaluated again on their canonical rows, since the last
+bits of ``eigvalsh`` depend on the vertex order; the record is the one
+the stored level gives.  ``extremal_records`` walks a range of n and reads
+every measure from one pass over each level, so a range builds each
+level once, where ascending ``extremal`` calls build each one twice:
+unstored as a top level, then stored as a parent.
 
 The top level is bounded by an incumbent, the Turán graph T_r(n) with
 r = min(chi(F) - 1, n): it is r-colourable, so F-free, and no extremal
@@ -204,7 +205,8 @@ def _pattern_key(f: Optional[ForbiddenPattern]) -> str:
     return "none" if f is None else f.canonical()
 
 
-def _extend(parent: Graph, mask: int) -> Graph:
+def _extend(parent: Graph, mask: int) -> tuple:
+    """``parent``'s rows plus a new vertex n joined to ``mask``."""
     n = parent.n
     rows = []
     for i in range(n):
@@ -213,7 +215,7 @@ def _extend(parent: Graph, mask: int) -> Graph:
             row |= 1 << n
         rows.append(row)
     rows.append(mask)
-    return graphs._unchecked(n + 1, tuple(rows))
+    return tuple(rows)
 
 
 def _twin_masks(n: int, twins) -> list:
@@ -301,23 +303,23 @@ def _masks(parent: Graph, f: Optional[ForbiddenPattern], autos, least: int) -> l
 
 def _children(
     parent: Graph, f: Optional[ForbiddenPattern], autos, least: int = 0
-) -> tuple:
+) -> list:
     """The accepted children of ``parent`` with at least ``least`` edges as
-    (rows, automorphisms), and the candidates examined, every mask.  A
-    child whose new vertex is the unique maximum of the key (``ties`` 0 in
-    ``_masks``) is the parent plus that vertex, so it is accepted
-    unlabelled, on those rows, with automorphisms None.  On a tie the
+    (rows, automorphisms); ``_cost`` counts the candidates.  A child whose
+    new vertex is the unique maximum of the key (``ties`` 0 in ``_masks``)
+    is the parent plus that vertex, so it is accepted unlabelled, on the
+    rows ``_extend`` gives, with automorphisms None.  On a tie the
     labelling names the deletion vertex w, and the child is accepted iff
     the new vertex lies in the orbit of w under its automorphisms, and
     comes on its canonical rows with them."""
     n = parent.n
     children = []
     for mask, ties in _masks(parent, f, autos, least):
-        child = _extend(parent, mask)
+        rows = _extend(parent, mask)
         if not ties:
-            children.append((child.adj, None))
+            children.append((rows, None))
             continue
-        rows, perm, child_autos = graphs._canonical(n + 1, child.adj)
+        rows, perm, child_autos = graphs._canonical(n + 1, rows)
         ties |= 1 << n
         w = next(v for v in reversed(perm) if ties >> v & 1)
         # child - n is the parent itself, so only w != n needs a test;
@@ -328,7 +330,7 @@ def _children(
             if new_vertex not in graphs.orbit(1 << perm.index(w), child_autos, ct):
                 continue
         children.append((rows, child_autos))
-    return children, 1 << n
+    return children
 
 
 def _cost(f: Optional[ForbiddenPattern], n: int) -> int:
@@ -420,18 +422,18 @@ def _deal(work, items: list, workers: int) -> list:
 def _grow(f: Optional[ForbiddenPattern], n: int, least: int = 0, label: bool = False):
     """The accepted children of the stored level n - 1 with at least
     ``least`` edges, one list per parent extended, in the stored order: the
-    children's rows, or with ``label`` each child's canonical rows followed
-    by its automorphisms as bytes (n <= HARD_CAP): bytes take less memory
-    than tuples of ints, and the flat list less than pairs.  A parent whose
-    children cannot reach ``least``, even with the new vertex joined to all
-    n - 1 of its vertices, is skipped before its forbidden sets are built.
-    The parents extended are dealt over ``_workers`` processes by
-    ``_deal``, so neither the children nor their order depend on the
-    worker count."""
+    rows ``_children`` gives, or with ``label`` each child's canonical rows
+    and then its automorphisms as bytes (n <= HARD_CAP): bytes take less
+    memory than tuples of ints, and the flat list less than pairs.  A parent
+    whose children cannot reach ``least``, even with the new vertex joined
+    to all n - 1 of its vertices, is skipped before its forbidden sets are
+    built.  The parents extended are dealt over ``_workers`` processes by
+    ``_deal``, so neither the children nor their order depend on the worker
+    count."""
 
     def work(item):
         parent, parent_autos = item
-        children = _children(parent, f, parent_autos, least)[0]
+        children = _children(parent, f, parent_autos, least)
         if not label:
             return [rows for rows, _ in children]
         out = []
@@ -464,8 +466,8 @@ def _level(f: Optional[ForbiddenPattern], n: int) -> tuple:
         reps = () if (f is not None and contains_subgraph(g, f)) else (g,)
         autos = ((),) * len(reps)
     else:
-        # the dict merges a class that one parent reaches through several
-        # masks, as it does when the stored automorphisms are incomplete
+        # each parent brings its stored automorphisms, so each class comes
+        # once; the dict pairs its rows with its automorphisms for the sort
         flat = itertools.chain.from_iterable(_grow(f, n, label=True))
         found = dict(zip(flat, flat))
         # each class has exactly one parent, so sorting makes the order
@@ -561,7 +563,8 @@ def enumerate_free(
     return reps
 
 
-def _config_hash(f, n, measure, config: SearchConfig) -> str:
+def _cache_file(f, n, measure, config: SearchConfig) -> tuple:
+    """(file under ``config.cache_dir``, hash it must carry) of a record."""
     payload = json.dumps(
         {
             "pattern": _pattern_key(f),
@@ -572,14 +575,11 @@ def _config_hash(f, n, measure, config: SearchConfig) -> str:
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _cache_path(f, n, measure, config: SearchConfig) -> Path:
     label = f.name if f.name else "g6-" + f.canonical().encode().hex()
     # each mode keeps its own file, so alternating modes never evict each other
     suffix = "" if config.mode == ALL_GRAPHS else f".{config.mode}"
-    return Path(config.cache_dir) / label / measure / f"n={n}{suffix}.json"
+    path = Path(config.cache_dir) / label / measure / f"n={n}{suffix}.json"
+    return path, hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _read_cached(path: Path, chash: str) -> Optional[ExtremalRecord]:
@@ -704,9 +704,7 @@ def extremal_records(
     files = {}
     if config.cache_dir:
         files = {
-            (n, m): (_cache_path(f, n, m, config), _config_hash(f, n, m, config))
-            for n in n_values
-            for m in measures
+            (n, m): _cache_file(f, n, m, config) for n in n_values for m in measures
         }
     records = {}
     for key, (path, chash) in files.items():

@@ -278,9 +278,9 @@ def convergence_table(
     rows = []
     partial = False
     try:
-        measures = ("edges", "lambda", "q")
         n_range = range(1, n_max + 1)
-        for rec_e, rec_l, rec_q in search.extremal_records(f, n_range, measures, config):
+        records = search.extremal_records(f, n_range, search.MEASURES, config)
+        for rec_e, rec_l, rec_q in records:
             n = rec_q.n
             ex_e = rec_e.value
             ex_l = rec_l.value

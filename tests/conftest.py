@@ -254,7 +254,7 @@ def reference_children(parent, f):
     accepted = set()
     seen = set()
     for mask, ties in reference_masks(parent, f):
-        child = search._extend(parent, mask)
+        child = graphs._unchecked(n + 1, search._extend(parent, mask))
         rows, perm = graphs._canonical(child.n, child.adj)[:2]
         if rows in seen:
             continue

@@ -65,6 +65,19 @@ class TestFamilies:
         for edges in ([(1, 1)], [(5, 0)], [(0, 3)], [(-1, 0)], [(0, 1), (2, -3)]):
             with pytest.raises(graphs.GraphError):
                 graphs.from_edges(3, edges)
+        # a vertex query out of 0..n-1 raises; a negative vertex must not
+        # read a row from the end
+        p3 = graphs.path(3)
+        for query in (
+            lambda: p3.has_edge(-1, 1),
+            lambda: p3.has_edge(1, -1),
+            lambda: p3.has_edge(0, 5),
+            lambda: list(p3.neighbors(-1)),
+            lambda: list(p3.neighbors(3)),
+            lambda: p3.add_edge(0, 3),
+        ):
+            with pytest.raises(graphs.GraphError, match="out of range"):
+                query()
 
 
 class TestMutation:
@@ -132,7 +145,7 @@ class TestMutation:
     def test_add_edge_errors(self):
         with pytest.raises(graphs.GraphError):
             graphs.complete(3).add_edge(0, 1)
-        with pytest.raises(graphs.GraphError):
+        with pytest.raises(graphs.GraphError, match="loop"):
             graphs.empty(3).add_edge(1, 1)
 
     def test_degree_sum_is_twice_edges(self):
