@@ -1,18 +1,22 @@
 """Adjacency and signless Laplacian spectral radii, and Perron vectors.
 
 q(G) is the top eigenvalue of Q(G) = D(G) + A(G), lambda(G) that of A(G).
-Values come from LAPACK: ``top_eigenvalues`` solves a list of graphs in
-stacked ``eigvalsh`` blocks, and ``dense_q_value`` and ``dense_lambda_value``
-solve one graph with one ``eigvalsh`` call, to the same bits.  Perron
-vectors come from ``spectral_radius``, which runs power iteration (on
-A + delta*I for the adjacency, against sign flips on bipartite spectra;
-``eigh`` is the fallback) on each component's block.  Components within
-``VALUE_TOL`` of the largest value tie, the tie goes to the smallest
-canonical form whatever the solver's last bits, and the vector is zero
-off the winner.  ``_kernels.power_iteration`` stops at residual ``TOL``
-and sums in a fixed order, which pins the last bits of the printed fields
-read from it: ``mu_sq_times_n`` of ``table``, the values of ``lemma22``,
-the bound of ``vertex_deletion``, ``monotone`` and ``spectrum``.
+Q is a copy of A with its diagonal set to the degrees.  Values come from
+LAPACK: ``top_eigenvalues`` solves a list of graphs in stacked ``eigvalsh``
+blocks, ``dense_q_value`` and ``dense_lambda_value`` solve one graph with
+one ``eigvalsh`` call, and ``lambda_and_q`` (read by verify's
+``bound_chain``) solves the stack of A and Q with one call, all to the
+same bits.  Perron vectors come from ``spectral_radius``, which runs power
+iteration (``_kernels``, one ``ndarray.dot`` per step, the same BLAS gemv
+as ``@``; on A + delta*I for the adjacency, against sign flips on
+bipartite spectra, with the diagonal set to delta; ``eigh`` is the
+fallback) on each component's block.  Components within ``VALUE_TOL`` of
+the largest value tie, the tie goes to the smallest canonical form
+whatever the solver's last bits, and the vector is zero off the winner.
+``_kernels.power_iteration`` stops at residual ``TOL`` and sums in a
+fixed order, which pins the last bits of the printed fields read from it:
+``mu_sq_times_n`` of ``table``, the values of ``lemma22``, the bound of
+``vertex_deletion``, ``monotone`` and ``spectrum``.
 """
 
 from __future__ import annotations
@@ -68,10 +72,14 @@ def normalize_kind(kind: str) -> str:
 
 
 def _with_degrees(a: np.ndarray, kind: str) -> np.ndarray:
-    """Q = D + A for the signless Laplacian, else A; ``a`` may be a stack."""
+    """Q = D + A for the signless Laplacian, else A; ``a`` may be a stack.
+    Q is a copy of A with its zero diagonal set to the row sums."""
     if kind != SIGNLESS_LAPLACIAN:
         return a
-    return a + a.sum(axis=-1)[..., None] * np.eye(a.shape[-1])
+    n = a.shape[-1]
+    q = a.copy()
+    q.reshape(-1, n * n)[:, :: n + 1] = a.sum(axis=-1).reshape(-1, n)
+    return q
 
 
 def matrix_of(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> np.ndarray:
@@ -84,14 +92,16 @@ def _radius_of_matrix(adj: np.ndarray, kind: str):
     if n == 1:
         return 0.0, np.array([1.0]), 0.0, 0, "dense"
     degrees = adj.sum(axis=1)
-    mat = _with_degrees(adj, kind)
     shift = 0.0 if kind == SIGNLESS_LAPLACIAN else float(degrees.max())
     x0 = degrees + 1.0
     max_iter = max(100, int(100 * n * math.log(n + 1)))
-    shifted = mat if kind == SIGNLESS_LAPLACIAN else mat + shift * np.eye(n)
+    # Q, or A + shift*I: A with its zero diagonal set
+    shifted = adj.copy()
+    shifted.flat[:: n + 1] = degrees if kind == SIGNLESS_LAPLACIAN else shift
     value, vec, resid, iters, ok = power_iteration(shifted, x0, TOL, max_iter)
     if ok:
         return float(value) - shift, vec, float(resid), int(iters), "power"
+    mat = shifted if kind == SIGNLESS_LAPLACIAN else adj
     vals, vecs = np.linalg.eigh(mat)
     value = float(vals[-1])
     vec = np.abs(vecs[:, -1])
@@ -150,6 +160,15 @@ def dense_q_value(g: graphs.Graph) -> float:
 
 def dense_lambda_value(g: graphs.Graph) -> float:
     return float(np.linalg.eigvalsh(matrix_of(g, ADJACENCY))[-1])
+
+
+def lambda_and_q(g: graphs.Graph) -> tuple[float, float]:
+    """(lambda(G), q(G)) from one ``eigvalsh`` call on the stack of A and Q,
+    the same bits as ``(dense_lambda_value(g), dense_q_value(g))``."""
+    a = g.adjacency_matrix()
+    stack = np.stack((a, _with_degrees(a, SIGNLESS_LAPLACIAN)))
+    lam, q = np.linalg.eigvalsh(stack)[:, -1].tolist()
+    return lam, q
 
 
 def rayleigh_q(g: graphs.Graph, x) -> float:

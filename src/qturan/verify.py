@@ -104,8 +104,7 @@ def check_bound_chain(g: Graph) -> CheckReport:
     if g.n < 2:
         return _not_applicable("bound_chain", subject)
     e = g.edge_count()
-    lam = spectra.dense_lambda_value(g)
-    q = spectra.dense_q_value(g)
+    lam, q = spectra.lambda_and_q(g)
     feng_yu = search._EDGE_BOUNDS["q"](g.n, e)
     degs = [g.degree(v) for v in range(g.n)]
     edge_deg = max((degs[u] + degs[v] for u, v in g.edges()), default=0)

@@ -370,6 +370,12 @@ def orbits_naive(n, adj):
     return orbit
 
 
+def reference_with_degrees(a):
+    """Q = D + A as spectra._with_degrees built it before it set the
+    diagonal in place: A plus the row sums times the identity."""
+    return a + a.sum(axis=-1)[..., None] * np.eye(a.shape[-1])
+
+
 # -- reference checkers -----------------------------------------------------
 # bound_chain and vertex_deletion as they stood when every spectral value they
 # read came from power iteration (spectra.spectral_radius).  They now read

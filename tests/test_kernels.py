@@ -72,3 +72,16 @@ def test_unconverged_bits_match_reference():
         assert (repr(float(a[0])), a[1].tobytes(), repr(float(a[2])), a[3]) == (
             repr(float(b[0])), b[1].tobytes(), repr(float(b[2])), b[3]
         )
+
+
+def test_inputs_are_left_unchanged():
+    # the kernel scales each product in place; that must never reach mat or x0
+    for g in (graphs.path(6), graphs.petersen()):
+        mat = spectra.matrix_of(g, spectra.SIGNLESS_LAPLACIAN)
+        x0 = np.arange(1.0, g.n + 1.0)
+        mat_kept, x0_kept = mat.copy(), x0.copy()
+        for max_iter in (1, 4, 1000):
+            value, x, *_ = _kernels.power_iteration(mat, x0, 1e-10, max_iter)
+            assert mat.tobytes() == mat_kept.tobytes()
+            assert x0.tobytes() == x0_kept.tobytes()
+            assert not np.shares_memory(x, x0) and not np.shares_memory(x, mat)

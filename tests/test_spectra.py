@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from qturan import graphs, search, spectra
-from tests.conftest import eigen_equation_residual, min_perron_entry
+from tests.conftest import (
+    eigen_equation_residual,
+    min_perron_entry,
+    reference_with_degrees,
+)
 
 
 def seeded_graphs(per_n, n_values, seed=4242, p=0.5):
@@ -27,6 +31,23 @@ def k3_wins():
         yield graphs.disjoint_union(list(parts)), list(range(start, start + 3))
 
 
+def disconnected_and_k1():
+    """K1 twice, edgeless graphs and disjoint unions, in an order that
+    changes n from one graph to the next."""
+    k1, k2, k3 = graphs.complete(1), graphs.complete(2), graphs.complete(3)
+    c4 = graphs.cycle(4)
+    return [
+        k1,
+        graphs.disjoint_union([k3, c4]),
+        graphs.disjoint_union([c4, k3]),
+        graphs.empty(7),
+        k1,
+        graphs.disjoint_union([k2, k2, k1]),
+        graphs.disjoint_union([k3, k1]),
+        graphs.empty(5),
+    ]
+
+
 def eigvalsh_top(g, kind):
     """Oracle: the top of one per-graph eigvalsh call."""
     return float(np.linalg.eigvalsh(spectra.matrix_of(g, kind))[-1])
@@ -44,18 +65,7 @@ class TestTopEigenvalues:
 
     @pytest.mark.parametrize("kind", ["q", "adjacency"])
     def test_disconnected_graphs_and_k1(self, kind):
-        k1, k2, k3 = graphs.complete(1), graphs.complete(2), graphs.complete(3)
-        c4 = graphs.cycle(4)
-        gs = [
-            k1,
-            graphs.disjoint_union([k3, c4]),
-            graphs.disjoint_union([c4, k3]),
-            graphs.empty(7),
-            k1,
-            graphs.disjoint_union([k2, k2, k1]),
-            graphs.disjoint_union([k3, k1]),
-            graphs.empty(5),
-        ]
+        gs = disconnected_and_k1()
         values = spectra.top_eigenvalues(gs, kind)
         assert [v.hex() for v in values] == [eigvalsh_top(g, kind).hex() for g in gs]
         one = spectra.dense_q_value if kind == "q" else spectra.dense_lambda_value
@@ -63,6 +73,33 @@ class TestTopEigenvalues:
 
     def test_empty_list(self):
         assert spectra.top_eigenvalues([]) == []
+
+
+class TestLambdaAndQ:
+    def test_bits_match_the_per_graph_calls(self):
+        gs = [g for n in range(1, 8) for g in search.enumerate_free(n)]
+        gs += disconnected_and_k1()
+        gs += list(seeded_graphs(20, range(8, 13)))
+        for g in gs:
+            lam, q = spectra.lambda_and_q(g)
+            assert (lam.hex(), q.hex()) == (
+                spectra.dense_lambda_value(g).hex(),
+                spectra.dense_q_value(g).hex(),
+            ), graphs.to_graph6(g)
+
+
+def test_with_degrees_matches_the_sum_with_eye():
+    # single matrices (K1 included) and a stack; the input stays unchanged
+    singles = list(seeded_graphs(6, [9])) + [graphs.complete(1), graphs.petersen()]
+    arrays = [g.adjacency_matrix() for g in singles]
+    arrays.append(graphs.adjacency_matrices(list(seeded_graphs(5, [7])), 7))
+    for a in arrays:
+        kept = a.copy()
+        q = spectra._with_degrees(a, spectra.SIGNLESS_LAPLACIAN)
+        assert q.shape == a.shape
+        assert q.tobytes() == reference_with_degrees(a).tobytes()
+        assert a.tobytes() == kept.tobytes()
+        assert spectra._with_degrees(a, spectra.ADJACENCY) is a
 
 
 class TestClosedForms:

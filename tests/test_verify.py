@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from qturan import graphs, verify
+from qturan import graphs, spectra, verify
 from qturan.patterns import pattern_by_name
 from qturan.search import SearchConfig, enumerate_free
 from qturan.verify import (
@@ -71,6 +73,29 @@ def test_lapack_values_agree_with_power_iteration(check, reference):
                 assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12, (
                     new.subject, field, a, b
                 )
+
+
+def _same_report(a, b):
+    """Field by field equality of two reports, NaN equal to NaN."""
+    return all(
+        x == y or (x != x and y != y)
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    )
+
+
+def test_bound_chain_matches_per_graph_eigvalsh_calls(monkeypatch):
+    # seeded hosts past the n <= 6 classes of the CLI sweep digest
+    rng = np.random.default_rng(20261022)
+    hosts = [graphs.random_graph(n, 0.5, rng) for n in range(8, 13) for _ in range(30)]
+    new = [check_bound_chain(g) for g in hosts]
+    monkeypatch.setattr(
+        spectra,
+        "lambda_and_q",
+        lambda g: (spectra.dense_lambda_value(g), spectra.dense_q_value(g)),
+    )
+    old = [check_bound_chain(g) for g in hosts]
+    for g, a, b in zip(hosts, new, old):
+        assert _same_report(a, b), graphs.to_graph6(g)
 
 
 class TestLemma22:
