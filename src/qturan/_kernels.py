@@ -1,8 +1,7 @@
 """Power iteration, the one numeric inner loop.
 
-``spectra`` passes Q, or A + delta*I, each built as A with its diagonal
-set; values without a vector come from one stacked ``eigvalsh`` call
-there (``bound_chain`` reads lambda and q from one).
+``spectra.spectral_radius`` passes Q, or A + delta*I, each built as A
+with its diagonal set, and reads its Perron vectors from here.
 
 The product ``mat.dot(x)`` (the same BLAS gemv as ``mat @ x``, at about
 half the per-call cost of the ``matmul`` gufunc on these small matrices)

@@ -2,15 +2,14 @@
 
 q(G) is the top eigenvalue of Q(G) = D(G) + A(G), lambda(G) that of A(G).
 Q is a copy of A with its diagonal set to the degrees.  Values come from
-LAPACK: ``top_eigenvalues`` solves a list of graphs in stacked ``eigvalsh``
-blocks, ``dense_q_value`` and ``dense_lambda_value`` solve one graph with
-one ``eigvalsh`` call, and ``lambda_and_q`` (read by verify's
-``bound_chain``) solves the stack of A and Q with one call, all to the
-same bits.  Perron vectors come from ``spectral_radius``, which runs power
-iteration (``_kernels``, one ``ndarray.dot`` per step, the same BLAS gemv
-as ``@``; on A + delta*I for the adjacency, against sign flips on
-bipartite spectra, with the diagonal set to delta; ``eigh`` is the
-fallback) on each component's block.  Components within ``VALUE_TOL`` of
+LAPACK's ``eigvalsh`` through two entry points, to the bits of one call
+per matrix: ``top_eigenvalues`` solves a list of graphs in stacked blocks,
+and ``lambda_and_q`` (read by verify's ``bound_chain``) solves the stack
+of one graph's A and Q.  Perron vectors come from ``spectral_radius``,
+which runs power iteration (``_kernels``, one ``ndarray.dot`` per step,
+the same BLAS gemv as ``@``; on A + delta*I for the adjacency, against
+sign flips on bipartite spectra, with the diagonal set to delta; ``eigh``
+is the fallback) on each component's block.  Components within ``VALUE_TOL`` of
 the largest value tie, the tie goes to the smallest canonical form
 whatever the solver's last bits, and the vector is zero off the winner.
 ``_kernels.power_iteration`` stops at residual ``TOL`` and sums in a
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,15 +81,11 @@ def _with_degrees(a: np.ndarray, kind: str) -> np.ndarray:
     return q
 
 
-def matrix_of(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> np.ndarray:
-    return _with_degrees(g.adjacency_matrix(), normalize_kind(kind))
-
-
-def _radius_of_matrix(adj: np.ndarray, kind: str):
+def _radius_of_matrix(adj: np.ndarray, kind: str) -> SpectralResult:
     """Dominant eigenpair of A or D+A for one (assumed connected) block."""
     n = adj.shape[0]
     if n == 1:
-        return 0.0, np.array([1.0]), 0.0, 0, "dense"
+        return SpectralResult(0.0, np.array([1.0]), 0.0, 0, "dense")
     degrees = adj.sum(axis=1)
     shift = 0.0 if kind == SIGNLESS_LAPLACIAN else float(degrees.max())
     x0 = degrees + 1.0
@@ -100,14 +95,14 @@ def _radius_of_matrix(adj: np.ndarray, kind: str):
     shifted.flat[:: n + 1] = degrees if kind == SIGNLESS_LAPLACIAN else shift
     value, vec, resid, iters, ok = power_iteration(shifted, x0, TOL, max_iter)
     if ok:
-        return float(value) - shift, vec, float(resid), int(iters), "power"
+        return SpectralResult(float(value) - shift, vec, float(resid), iters, "power")
     mat = shifted if kind == SIGNLESS_LAPLACIAN else adj
     vals, vecs = np.linalg.eigh(mat)
     value = float(vals[-1])
     vec = np.abs(vecs[:, -1])
     vec /= np.linalg.norm(vec)
     resid = float(np.linalg.norm(mat @ vec - value * vec))
-    return value, vec, resid, int(iters), "dense"
+    return SpectralResult(value, vec, resid, iters, "dense")
 
 
 def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> SpectralResult:
@@ -123,27 +118,26 @@ def spectral_radius(g: graphs.Graph, kind: str = SIGNLESS_LAPLACIAN) -> Spectral
     a = g.adjacency_matrix()
     comps = g.components()
     if len(comps) == 1:
-        value, vec, resid, iters, method = _radius_of_matrix(a, kind)
-    else:
-        solved = {}
-        for comp in comps:
-            idx = [v for v in range(g.n) if (comp >> v) & 1]
-            solved[comp] = _radius_of_matrix(a[np.ix_(idx, idx)], kind), idx
-        top = max(r[0] for r, _ in solved.values())
-        ties = [c for c in comps if solved[c][0][0] >= top - VALUE_TOL]
-        if len(ties) > 1:
-            ties.sort(key=lambda c: graphs.canonical_form(g.induced_subgraph(c)))
-        (value, part, _, iters, method), idx = solved[ties[0]]
-        vec = np.zeros(g.n)
-        vec[idx] = part
-        resid = np.linalg.norm(_with_degrees(a, kind) @ vec - value * vec)
-    return SpectralResult(float(value), vec, float(resid), iters, method)
+        return _radius_of_matrix(a, kind)
+    solved = {}
+    for comp in comps:
+        idx = [v for v in range(g.n) if (comp >> v) & 1]
+        solved[comp] = _radius_of_matrix(a[np.ix_(idx, idx)], kind), idx
+    top = max(r.value for r, _ in solved.values())
+    ties = [c for c in comps if solved[c][0].value >= top - VALUE_TOL]
+    if len(ties) > 1:
+        ties.sort(key=lambda c: graphs.canonical_form(g.induced_subgraph(c)))
+    best, idx = solved[ties[0]]
+    vec = np.zeros(g.n)
+    vec[idx] = best.vector
+    resid = np.linalg.norm(_with_degrees(a, kind) @ vec - best.value * vec)
+    return replace(best, vector=vec, residual=float(resid))
 
 
 def top_eigenvalues(gs, kind: str = SIGNLESS_LAPLACIAN) -> list:
     """Top eigenvalue of A(G) or Q(G) for each graph of ``gs``, the same bits
-    as ``eigvalsh(matrix_of(g, kind))[-1]``: each run of same-n graphs is
-    solved ``BLOCK`` matrices per ``eigvalsh`` call."""
+    as one ``eigvalsh`` call per graph: each run of same-n graphs is solved
+    ``BLOCK`` matrices per call."""
     kind = normalize_kind(kind)
     values = []
     for n, run in itertools.groupby(gs, key=lambda g: g.n):
@@ -154,17 +148,9 @@ def top_eigenvalues(gs, kind: str = SIGNLESS_LAPLACIAN) -> list:
     return values
 
 
-def dense_q_value(g: graphs.Graph) -> float:
-    return float(np.linalg.eigvalsh(matrix_of(g, SIGNLESS_LAPLACIAN))[-1])
-
-
-def dense_lambda_value(g: graphs.Graph) -> float:
-    return float(np.linalg.eigvalsh(matrix_of(g, ADJACENCY))[-1])
-
-
 def lambda_and_q(g: graphs.Graph) -> tuple[float, float]:
     """(lambda(G), q(G)) from one ``eigvalsh`` call on the stack of A and Q,
-    the same bits as ``(dense_lambda_value(g), dense_q_value(g))``."""
+    the same bits as ``top_eigenvalues([g], kind)`` for each kind."""
     a = g.adjacency_matrix()
     stack = np.stack((a, _with_degrees(a, SIGNLESS_LAPLACIAN)))
     lam, q = np.linalg.eigvalsh(stack)[:, -1].tolist()

@@ -80,7 +80,7 @@ def check_vertex_deletion(h: Graph) -> CheckReport:
     mu2 = float(res.vector.min()) ** 2
     u = int(np.argmin(res.vector))
     bound = res.value * (1 - 2 * mu2) / (1 - mu2) - (1 - h.n * mu2) / (1 - mu2)
-    lhs = spectra.dense_q_value(h.delete_vertex(u))
+    (lhs,) = spectra.top_eigenvalues([h.delete_vertex(u)], "q")
     return _report("vertex_deletion", subject, lhs, bound, lhs - bound)
 
 

@@ -434,6 +434,15 @@ def reference_adjacency_matrix(g):
     return a
 
 
+def reference_top_eigenvalue(g, kind):
+    """Oracle: the top eigenvalue of A(G) or Q(G) from one ``eigvalsh`` call
+    on the matrix built edge by edge, Q as A plus the degrees times I."""
+    a = reference_adjacency_matrix(g)
+    if spectra.normalize_kind(kind) == spectra.SIGNLESS_LAPLACIAN:
+        a = reference_with_degrees(a)
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
 def min_perron_entry(result):
     return float(result.vector.min())
 

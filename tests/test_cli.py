@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qturan import cli, graphs, patterns, search, spectra
+from qturan import cli, graphs, patterns, search
+from tests.conftest import reference_top_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -61,7 +62,7 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--graph", graphs.to_graph6(g))
         assert code == 0
         value = float(out.splitlines()[0].split()[1])
-        expected = np.linalg.eigvalsh(spectra.matrix_of(g))[-1]
+        expected = reference_top_eigenvalue(g, "q")
         assert value == pytest.approx(expected, abs=1e-9)
 
 

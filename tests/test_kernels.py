@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qturan import _kernels, graphs, search, spectra
+from tests.conftest import reference_adjacency_matrix, reference_with_degrees
 
 KINDS = (spectra.SIGNLESS_LAPLACIAN, spectra.ADJACENCY)
 
@@ -64,7 +65,7 @@ def test_unconverged_bits_match_reference():
     # too few iterations to converge: the last iterate and its residual
     # are returned with converged False
     for g in (graphs.path(6), graphs.star(5), graphs.petersen()):
-        mat = spectra.matrix_of(g, spectra.SIGNLESS_LAPLACIAN)
+        mat = reference_with_degrees(reference_adjacency_matrix(g))
         x0 = np.arange(1.0, g.n + 1.0)
         a = _kernels.power_iteration(mat, x0, 1e-10, 4)
         b = reference_power_iteration(mat, x0, 1e-10, 4)
@@ -77,7 +78,7 @@ def test_unconverged_bits_match_reference():
 def test_inputs_are_left_unchanged():
     # the kernel scales each product in place; that must never reach mat or x0
     for g in (graphs.path(6), graphs.petersen()):
-        mat = spectra.matrix_of(g, spectra.SIGNLESS_LAPLACIAN)
+        mat = reference_with_degrees(reference_adjacency_matrix(g))
         x0 = np.arange(1.0, g.n + 1.0)
         mat_kept, x0_kept = mat.copy(), x0.copy()
         for max_iter in (1, 4, 1000):

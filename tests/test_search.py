@@ -33,6 +33,7 @@ from tests.conftest import (
     reference_children,
     reference_masks,
     reference_to_graph6,
+    reference_top_eigenvalue,
 )
 
 
@@ -703,11 +704,9 @@ class TestExtremal:
         assert graphs.canonical_form(graphs.turan(3, 8)) in rec.witnesses
 
     def test_lambda_matches_brute_force(self):
-        from qturan import spectra
-
         f = pattern_by_name("C4")
         rec = extremal(6, f, "lambda")
-        brute = max(spectra.dense_lambda_value(g) for g in enumerate_free(6, f))
+        brute = max(reference_top_eigenvalue(g, "lambda") for g in enumerate_free(6, f))
         assert rec.value == pytest.approx(brute, abs=1e-10)
 
     def test_pinned_examined_counts_and_witnesses(self):

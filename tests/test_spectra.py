@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,8 @@ from qturan import graphs, search, spectra
 from tests.conftest import (
     eigen_equation_residual,
     min_perron_entry,
+    reference_adjacency_matrix,
+    reference_top_eigenvalue,
     reference_with_degrees,
 )
 
@@ -48,28 +51,35 @@ def disconnected_and_k1():
     ]
 
 
-def eigvalsh_top(g, kind):
-    """Oracle: the top of one per-graph eigvalsh call."""
-    return float(np.linalg.eigvalsh(spectra.matrix_of(g, kind))[-1])
+def top(g, kind="q"):
+    """The top eigenvalue of one graph through the production path."""
+    (value,) = spectra.top_eigenvalues([g], kind)
+    return value
+
+
+def assert_bits_match_the_oracle(gs, kind):
+    """top_eigenvalues over all of ``gs``, and over each graph alone, gives
+    the bits of the oracle."""
+    oracle = [reference_top_eigenvalue(g, kind).hex() for g in gs]
+    assert [v.hex() for v in spectra.top_eigenvalues(gs, kind)] == oracle
+    assert [top(g, kind).hex() for g in gs] == oracle
 
 
 class TestTopEigenvalues:
     @pytest.mark.parametrize("kind", ["q", "adjacency"])
     def test_bits_match_eigvalsh_on_seven_vertices(self, kind):
-        gs = search.enumerate_free(7)
-        assert len(gs) > spectra.BLOCK
-        values = spectra.top_eigenvalues(gs, kind)
-        assert [v.hex() for v in values] == [eigvalsh_top(g, kind).hex() for g in gs]
-        one = spectra.dense_q_value if kind == "q" else spectra.dense_lambda_value
-        assert [one(g).hex() for g in gs] == [v.hex() for v in values]
+        # every class to n = 7; the run of n = 7 spans several blocks
+        assert len(search.enumerate_free(7)) > spectra.BLOCK
+        gs = [g for n in range(1, 8) for g in search.enumerate_free(n)]
+        assert_bits_match_the_oracle(gs, kind)
 
     @pytest.mark.parametrize("kind", ["q", "adjacency"])
     def test_disconnected_graphs_and_k1(self, kind):
-        gs = disconnected_and_k1()
-        values = spectra.top_eigenvalues(gs, kind)
-        assert [v.hex() for v in values] == [eigvalsh_top(g, kind).hex() for g in gs]
-        one = spectra.dense_q_value if kind == "q" else spectra.dense_lambda_value
-        assert [one(g).hex() for g in gs] == [v.hex() for v in values]
+        assert_bits_match_the_oracle(disconnected_and_k1(), kind)
+
+    @pytest.mark.parametrize("kind", ["q", "adjacency"])
+    def test_seeded_hosts(self, kind):
+        assert_bits_match_the_oracle(list(seeded_graphs(20, range(8, 13))), kind)
 
     def test_empty_list(self):
         assert spectra.top_eigenvalues([]) == []
@@ -83,8 +93,8 @@ class TestLambdaAndQ:
         for g in gs:
             lam, q = spectra.lambda_and_q(g)
             assert (lam.hex(), q.hex()) == (
-                spectra.dense_lambda_value(g).hex(),
-                spectra.dense_q_value(g).hex(),
+                reference_top_eigenvalue(g, "adjacency").hex(),
+                reference_top_eigenvalue(g, "q").hex(),
             ), graphs.to_graph6(g)
 
 
@@ -104,26 +114,26 @@ def test_with_degrees_matches_the_sum_with_eye():
 
 class TestClosedForms:
     def test_q_turan2(self):
-        assert spectra.dense_q_value(graphs.turan(2, 6)) == pytest.approx(6, abs=1e-9)
+        assert top(graphs.turan(2, 6)) == pytest.approx(6, abs=1e-9)
 
     def test_q_complete(self):
-        assert spectra.dense_q_value(graphs.complete(4)) == pytest.approx(6, abs=1e-9)
+        assert top(graphs.complete(4)) == pytest.approx(6, abs=1e-9)
 
     def test_q_c5(self):
         # 2-regular, so Q = 2I + A and q = 2 + 2
-        assert spectra.dense_q_value(graphs.cycle(5)) == pytest.approx(4, abs=1e-9)
+        assert top(graphs.cycle(5)) == pytest.approx(4, abs=1e-9)
 
     def test_q_star4(self):
-        assert spectra.dense_q_value(graphs.star(4)) == pytest.approx(5, abs=1e-9)
+        assert top(graphs.star(4)) == pytest.approx(5, abs=1e-9)
 
     def test_lambda_star4(self):
-        assert spectra.dense_lambda_value(graphs.star(4)) == pytest.approx(2, abs=1e-8)
+        assert top(graphs.star(4), "adjacency") == pytest.approx(2, abs=1e-8)
 
     def test_complete_bipartite_q_is_n(self):
         for s, t in [(1, 1), (2, 5), (4, 4), (7, 3)]:
-            assert spectra.dense_q_value(
-                graphs.complete_bipartite(s, t)
-            ) == pytest.approx(s + t, abs=1e-8)
+            assert top(graphs.complete_bipartite(s, t)) == pytest.approx(
+                s + t, abs=1e-8
+            )
 
 
 class TestSpectralResult:
@@ -182,7 +192,7 @@ class TestRayleigh:
         for g in seeded_graphs(3, range(3, 9), seed=15):
             x = rng.uniform(0, 1, g.n)
             x /= np.linalg.norm(x)
-            assert spectra.rayleigh_q(g, x) <= spectra.dense_q_value(g) + 1e-8
+            assert spectra.rayleigh_q(g, x) <= reference_top_eigenvalue(g, "q") + 1e-8
 
     def test_zero_vector_rejected(self):
         with pytest.raises(spectra.SpectralError):
@@ -214,7 +224,7 @@ class TestMinPerron:
         assert np.allclose(leaves, leaves[0], atol=1e-8)
         assert leaves[0] < center
         # oracle: dense eigensolve of the 5x5 Q matrix
-        mat = spectra.matrix_of(graphs.star(4), "q")
+        mat = reference_with_degrees(reference_adjacency_matrix(graphs.star(4)))
         vals, vecs = np.linalg.eigh(mat)
         oracle = np.abs(vecs[:, -1])
         assert min_perron_entry(r) == pytest.approx(oracle.min(), abs=1e-8)
@@ -224,8 +234,7 @@ class TestProperties:
     def test_bound_chain_random(self):
         for g in seeded_graphs(10, range(2, 11), seed=16):
             e, n = g.edge_count(), g.n
-            lam = spectra.dense_lambda_value(g)
-            q = spectra.dense_q_value(g)
+            lam, q = spectra.lambda_and_q(g)
             assert q >= 2 * lam - 1e-8
             assert 2 * lam >= 4 * e / n - 1e-8
             assert q <= 2 * e / (n - 1) + n - 2 + 1e-8  # Feng-Yu
@@ -246,8 +255,8 @@ class TestProperties:
                 continue
             u, v = missing[rng.integers(len(missing))]
             bigger = g.add_edge(u, v)
-            for value in (spectra.dense_q_value, spectra.dense_lambda_value):
-                assert value(bigger) >= value(g) - 1e-8
+            for kind in ("q", "adjacency"):
+                assert top(bigger, kind) >= top(g, kind) - 1e-8
 
     def test_regular_q_is_2d(self):
         for g, d in [
@@ -256,16 +265,14 @@ class TestProperties:
             (graphs.complete_bipartite(4, 4), 4),
             (graphs.petersen(), 3),
         ]:
-            assert spectra.dense_q_value(g) == pytest.approx(2 * d, abs=1e-8)
+            assert top(g) == pytest.approx(2 * d, abs=1e-8)
 
     def test_power_agrees_with_dense(self):
         for g in seeded_graphs(5, range(2, 13), seed=19):
-            assert spectra.spectral_radius(g, "q").value == pytest.approx(
-                spectra.dense_q_value(g), abs=1e-7
-            )
-            assert spectra.spectral_radius(g, "adjacency").value == pytest.approx(
-                spectra.dense_lambda_value(g), abs=1e-7
-            )
+            for kind in ("q", "adjacency"):
+                assert spectra.spectral_radius(g, kind).value == pytest.approx(
+                    reference_top_eigenvalue(g, kind), abs=1e-7
+                )
 
     def test_disconnected_component_tie_is_deterministic(self, monkeypatch):
         g = graphs.disjoint_union([graphs.cycle(4), graphs.complete(3)])
@@ -332,7 +339,9 @@ class TestProperties:
         # only the VALUE_TOL window still hands the tie to K3
         def eigh_radius(adj, kind):
             vals, vecs = np.linalg.eigh(spectra._with_degrees(adj, kind))
-            return float(vals[-1]), np.abs(vecs[:, -1]), 0.0, 0, "dense"
+            return spectra.SpectralResult(
+                float(vals[-1]), np.abs(vecs[:, -1]), 0.0, 0, "dense"
+            )
 
         monkeypatch.setattr(spectra, "_radius_of_matrix", eigh_radius)
         for g, idx in k3_wins():
@@ -349,8 +358,8 @@ class TestProperties:
         solve = spectra._radius_of_matrix
 
         def staggered(adj, kind):
-            _, vec, resid, iters, method = solve(adj, kind)
-            return 1.0 + 0.6e-9 * (adj.shape[0] - 1), vec, resid, iters, method
+            value = 1.0 + 0.6e-9 * (adj.shape[0] - 1)
+            return dataclasses.replace(solve(adj, kind), value=value)
 
         calls = []
         canonical = graphs._canonical

@@ -19,7 +19,11 @@ from qturan.verify import (
     sweep_graphs,
     sweep_random,
 )
-from tests.conftest import reference_check_bound_chain, reference_check_vertex_deletion
+from tests.conftest import (
+    reference_check_bound_chain,
+    reference_check_vertex_deletion,
+    reference_top_eigenvalue,
+)
 
 
 class TestVertexDeletion:
@@ -91,7 +95,7 @@ def test_bound_chain_matches_per_graph_eigvalsh_calls(monkeypatch):
     monkeypatch.setattr(
         spectra,
         "lambda_and_q",
-        lambda g: (spectra.dense_lambda_value(g), spectra.dense_q_value(g)),
+        lambda g: tuple(reference_top_eigenvalue(g, k) for k in ("lambda", "q")),
     )
     old = [check_bound_chain(g) for g in hosts]
     for g, a, b in zip(hosts, new, old):
